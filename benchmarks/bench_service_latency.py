@@ -11,8 +11,11 @@ ways:
   plus SLO tracking and forensics armed);
 * **trace**   — full end-to-end tracing on top of metrics.
 
-Each mode reports submit→result wall-clock percentiles and the mode's
-overhead ratio versus *bare*.  The result documents of all three
+Each mode reports submit→done wall-clock percentiles and the mode's
+overhead ratio versus *bare*.  A job's latency ends at the terminal
+event of :meth:`Client.tail`, which the server pushes the moment the
+job finishes; :meth:`Client.wait` polls every 0.1 s and would round
+every latency up to that grid.  The result documents of all three
 modes must be byte-identical — observability observes, never
 perturbs; the script asserts it the same way CI's obs-smoke job does.
 
@@ -86,19 +89,29 @@ def percentile(ordered: list[float], q: float) -> float:
     return ordered[index]
 
 
+def tail_to_end(client: Client, job_id: str) -> None:
+    """Follow the job's state stream to its terminal ``end`` event."""
+    for event in client.tail(job_id):
+        pass
+    if event.get("state") != "done":
+        raise RuntimeError(f"job {job_id} ended {event.get('state')!r}")
+
+
 def measure(root, mode: str, jobs: int) -> dict:
     latencies: list[float] = []
     documents: list[str] = []
     with HostedServer(root / mode, mode) as hosted:
         # warm the toolchain caches outside the timed window
-        with Client(hosted.address, tenant="warmup") as client:
+        with Client(hosted.address, tenant="warmup",
+                    timeout=120) as client:
             warm = client.submit("run", JOB_SPEC)
-            client.wait(warm["job_id"], deadline=120)
+            tail_to_end(client, warm["job_id"])
         for n in range(jobs):
-            with Client(hosted.address, tenant=f"t{n}") as client:
+            with Client(hosted.address, tenant=f"t{n}",
+                        timeout=120) as client:
                 start = time.perf_counter()
                 response = client.submit("run", JOB_SPEC)
-                client.wait(response["job_id"], deadline=120)
+                tail_to_end(client, response["job_id"])
                 latencies.append(time.perf_counter() - start)
                 documents.append(
                     client.result(response["job_id"])["document"])

@@ -26,8 +26,15 @@ Fidelity rules the closures follow:
   functional work and the timing charge, build a fresh
   ``CommitRecord`` per call — field-for-field what ``_execute`` would
   have produced, fresh because trace packets retain their record —
-  and hand it to the original ``on_commit``, which owns every
-  dynamic decision (FIFO occupancy, fabric service, traps).
+  and hand it to a fused commit tail (``_make_forward``).  The tail
+  replays ``on_commit``'s body with the policy, ack mode and static
+  DECODE bits resolved at build time, builds the ``TracePacket``
+  itself, and calls the same ``DecouplingFifo.is_full``/``push`` and
+  ``CoreFabricInterface._service`` as the reference loop, so FIFO
+  occupancy, fabric service and trap latching have one
+  implementation.  ``_service`` looks the monitor up as
+  ``iface.extension.process`` on every packet, so a patched instance
+  method (the ``fifo-drop`` fault) is honoured.
 * The rare opcodes (FLEX, JMPL, TICC, SAVE/RESTORE, RDY/WRY, RETT,
   LDD/STD) run through the original ``CpuState._execute`` /
   ``CoreTiming.advance`` / ``on_commit`` machinery — only the fetch
@@ -664,15 +671,16 @@ class HandlerTable:
                 stats.fifo_stall_cycles += wait
                 fifo.stats.full_stall_cycles += wait
                 now += wait
+            # Positional, in Table II order (pc, inst, addr, res,
+            # srcv1, srcv2, cond, branch, opcode, decode, extra, src1,
+            # src2, dest, record), as in ``TracePacket.from_commit``.
             packet = TracePacket(
-                pc=pc, inst=word, addr=record.addr, res=record.result,
-                srcv1=record.srcv1, srcv2=record.srcv2,
-                cond=record.cond, branch=record.branch_taken,
-                opcode=klass,
-                decode=base_decode | (int(record.carry_before) << 16),
-                extra=record.y_before, src1=record.src1_phys,
-                src2=record.src2_phys, dest=record.dest_phys,
-                record=record,
+                pc, word, record.addr, record.result,
+                record.srcv1, record.srcv2, record.cond,
+                record.branch_taken, klass,
+                base_decode | (int(record.carry_before) << 16),
+                record.y_before, record.src1_phys, record.src2_phys,
+                record.dest_phys, record,
             )
             stats.forwarded += 1
             by_class = stats.forwarded_by_class

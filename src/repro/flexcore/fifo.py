@@ -52,35 +52,50 @@ class DecouplingFifo:
                 "fifo.high_water"
             )
 
+    # Each method below retires the packets drained by ``now`` in one
+    # pass over the queue head and calls no other: the interface asks
+    # ``is_full`` and ``push`` on every forwarded instruction.
+
     def occupancy(self, now: int) -> int:
         """Entries still resident at time ``now``."""
-        while self._drains and self._drains[0] <= now:
-            self._drains.popleft()
-        return len(self._drains)
+        drains = self._drains
+        while drains and drains[0] <= now:
+            drains.popleft()
+        return len(drains)
 
     def is_full(self, now: int) -> bool:
-        return self.occupancy(now) >= self.depth
+        drains = self._drains
+        while drains and drains[0] <= now:
+            drains.popleft()
+        return len(drains) >= self.depth
 
     def time_until_space(self, now: int) -> int:
         """Cycles the core must wait before a slot frees up."""
-        if not self.is_full(now):
+        drains = self._drains
+        while drains and drains[0] <= now:
+            drains.popleft()
+        if len(drains) < self.depth:
             return 0
-        return self._drains[0] - now
+        return drains[0] - now
 
     def push(self, now: int, drain_time: int) -> None:
         """Insert a packet that the fabric will drain at ``drain_time``.
 
         The caller must have ensured space (policy-dependent).
         """
-        if self.is_full(now):
+        drains = self._drains
+        while drains and drains[0] <= now:
+            drains.popleft()
+        if len(drains) >= self.depth:
             raise OverflowError("push into a full FIFO")
         if drain_time < now:
             raise ValueError("drain time before enqueue time")
-        self._drains.append(drain_time)
-        self.stats.enqueued += 1
-        occupancy = len(self._drains)
-        if occupancy > self.stats.max_occupancy:
-            self.stats.max_occupancy = occupancy
+        drains.append(drain_time)
+        stats = self.stats
+        stats.enqueued += 1
+        occupancy = len(drains)
+        if occupancy > stats.max_occupancy:
+            stats.max_occupancy = occupancy
         tracer = self._tracer
         if tracer is not None:
             # The pop is known at push time (discrete-event model):

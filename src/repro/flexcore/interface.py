@@ -126,6 +126,10 @@ class CoreFabricInterface:
         self.extension = extension
         self.bus = bus
         self.config = config or InterfaceConfig()
+        # The configuration is fixed once the interface exists, so the
+        # fabric clock period (a validating property) is read here
+        # once rather than on every packet.
+        self._period = self.config.fabric_period
         self.cfgr = extension.forward_config()
         self.fifo = DecouplingFifo(self.config.fifo_depth)
         self.meta_cache = MetadataCache(self.config.meta_cache)
@@ -170,15 +174,10 @@ class CoreFabricInterface:
 
     # ------------------------------------------------------------------
 
-    def _fabric_edge(self, time: float) -> float:
-        """Next fabric clock edge at or after ``time``."""
-        period = self.config.fabric_period
-        return math.ceil(time / period) * period
-
     def _service(self, packet: TracePacket, enqueue_time: float) -> float:
         """Run the packet through the fabric; return its drain time."""
         config = self.config
-        period = config.fabric_period
+        period = self._period
         outcome = self.extension.process(packet)
 
         cycles = outcome.fabric_cycles
@@ -186,19 +185,22 @@ class CoreFabricInterface:
             cycles += config.decode_penalty
 
         # The packet crosses the clock domain, then waits for the
-        # fabric engine to be free.
-        earliest = self._fabric_edge(
-            enqueue_time + config.sync_fabric_cycles * period
-        )
-        start = max(self._fabric_free, earliest)
+        # fabric engine to be free, starting on a fabric clock edge.
+        synced = enqueue_time + config.sync_fabric_cycles * period
+        earliest = math.ceil(synced / period) * period
+        start = self._fabric_free
+        if earliest > start:
+            start = earliest
         time = start + cycles * period
 
         # Meta-data accesses: reads stall the fabric on a miss while
         # the line is refilled over the shared bus; writes go through
         # write-through posted writes that occupy the bus but do not
         # stall the fabric.
+        tlb = config.meta_tlb_entries > 0
         for access in outcome.meta_accesses:
-            time = self._tlb_lookup(access.addr, time)
+            if tlb:
+                time = self._tlb_lookup(access.addr, time)
             if access.kind == "read":
                 if not self.meta_cache.read(access.addr):
                     done = self.bus.line_refill(int(time), "meta-refill")
@@ -229,10 +231,9 @@ class CoreFabricInterface:
     def _tlb_lookup(self, addr: int, time: float) -> float:
         """Translate a meta-data address; a miss costs a table walk
         over the shared bus.  Disabled (zero entries) by default, like
-        the paper's prototype."""
+        the paper's prototype, in which case ``_service`` never calls
+        it."""
         entries = self.config.meta_tlb_entries
-        if entries <= 0:
-            return time
         page = addr >> 12
         if page in self._tlb:
             self._tlb.remove(page)

@@ -11,7 +11,7 @@ to implement a SPARC decoder in LUTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.executor import CommitRecord
 from repro.isa.opcodes import InstrClass
@@ -38,9 +38,13 @@ PACKET_FIELD_BITS = {
 PACKET_BITS = sum(PACKET_FIELD_BITS.values())
 
 
-@dataclass(frozen=True)
-class TracePacket:
-    """One forward-FIFO entry."""
+class TracePacket(NamedTuple):
+    """One forward-FIFO entry.
+
+    An immutable named tuple: the fields are Table II's wires in
+    order, and building one per forwarded instruction is the interface
+    path's hottest allocation.
+    """
 
     pc: int
     inst: int  # raw instruction word (INST)
@@ -75,22 +79,24 @@ class TracePacket:
         if record.is_load or record.is_store:
             decode |= (instr.access_size() & 0xF) << 12
         decode |= int(record.carry_before) << 16
+        # Positional, in field order: keyword construction of a named
+        # tuple costs over twice as much, once per forwarded packet.
         return cls(
-            pc=record.pc,
-            inst=record.word,
-            addr=record.addr,
-            res=record.result,
-            srcv1=record.srcv1,
-            srcv2=record.srcv2,
-            cond=record.cond,
-            branch=record.branch_taken,
-            opcode=record.instr_class,
-            decode=decode,
-            extra=record.y_before,
-            src1=record.src1_phys,
-            src2=record.src2_phys,
-            dest=record.dest_phys,
-            record=record,
+            record.pc,
+            record.word,  # inst
+            record.addr,
+            record.result,  # res
+            record.srcv1,
+            record.srcv2,
+            record.cond,
+            record.branch_taken,  # branch
+            record.instr_class,  # opcode
+            decode,
+            record.y_before,  # extra
+            record.src1_phys,  # src1
+            record.src2_phys,  # src2
+            record.dest_phys,  # dest
+            record,
         )
 
     @property

@@ -4,7 +4,7 @@ For any program, extension, and watchdog configuration the fused
 predecoded loop (``engine="fast"``) and the block-compiled loop
 (``engine="superblock"``) must be observationally identical to the
 reference loop: same ``run_digest``, same trap/error strings, same
-termination, same recovery count.  Four layers:
+termination, same recovery count.  Six layers:
 
 * a hypothesis property over random programs (ALU/memory/branch mixes,
   annulled delay slots, undecodable words) under a drawn extension;
@@ -15,7 +15,12 @@ termination, same recovery count.  Four layers:
   reference-loop run;
 * directed superblock adversaries: self-modifying stores that patch a
   compiled block from inside it, traps raised mid-block, and
-  checkpoint boundaries landing inside a block.
+  checkpoint boundaries landing inside a block;
+* interface configurations that drive every branch of the shared
+  forward path: tiny FIFOs (full stalls), best-effort drops, ack
+  stalls, the meta-data TLB, fabric-side decode and a 1X fabric;
+* the fault models that run on the fused engines (``fifo-drop`` and
+  ``lut-config``), one armed fault each.
 """
 
 import pytest
@@ -28,8 +33,11 @@ from repro.evaluation.config import (
     experiment_system_config,
 )
 from repro.extensions import EXTENSION_NAMES, create_extension
+from repro.faultinject.models import FaultSpec, create_model
+from repro.flexcore.cfgr import ForwardPolicy
 from repro.flexcore.system import FlexCoreSystem
 from repro.isa.assembler import assemble
+from repro.isa.opcodes import MEMORY_CLASSES, InstrClass
 from repro.mdl import load_spec, shipped_specs
 from repro.telemetry.summary import result_fingerprint, run_digest
 from repro.workloads import build_workload, workload_names
@@ -399,3 +407,120 @@ def test_record_hooks_fall_back_to_reference_loop():
     assert len(seen) == hooked.instructions
     assert result_fingerprint(hooked) == result_fingerprint(fast)
     assert run_digest(hooked) == run_digest(fast)
+
+
+# ---------------------------------------------------------------------------
+# Layer 5: interface configurations on the shared forward path.
+
+ENGINES = ("reference",) + FUSED_ENGINES
+CONFIG_KERNELS = ("bitcount", "basicmath")
+CONFIG_MONITORS = ("umc", "dift", "bc")
+
+
+def _best_effort_memory(system):
+    system.interface.cfgr.set_classes(MEMORY_CLASSES,
+                                      ForwardPolicy.BEST_EFFORT)
+
+
+def _iface(counter):
+    return lambda result: getattr(result.interface_stats, counter)
+
+
+def _tlb_walks(result):
+    return result.bus_stats.transactions.get("meta-tlb-walk", 0)
+
+
+#: name -> (InterfaceConfig overrides, system tweak or None, a probe
+#: the setting must drive above zero on some reference run, so each
+#: case provably takes its branch).  Decode penalty and a 1X clock
+#: change the fabric timing of every forwarded packet.
+INTERFACE_SETTINGS = {
+    "fifo-depth-1": ({"fifo_depth": 1}, None, _iface("fifo_stall_cycles")),
+    "fifo-depth-2": ({"fifo_depth": 2}, None, _iface("fifo_stall_cycles")),
+    "best-effort-memory": ({"fifo_depth": 1}, _best_effort_memory,
+                           _iface("dropped")),
+    "precise-exceptions": ({"precise_exceptions": True}, None,
+                           _iface("ack_stall_cycles")),
+    "meta-tlb-4": ({"meta_tlb_entries": 4}, None, _tlb_walks),
+    "no-predecode": ({"predecode": False}, None, _iface("forwarded")),
+    "clock-ratio-1": ({"clock_ratio": 1.0}, None, _iface("forwarded")),
+}
+
+
+def _configured_system(program, extension, overrides=(), tweak=None):
+    config = experiment_system_config(clock_ratio=_fabric_ratio(extension))
+    for name, value in dict(overrides).items():
+        setattr(config.interface, name, value)
+    system = FlexCoreSystem(program, create_extension(extension), config)
+    if tweak is not None:
+        tweak(system)
+    return system
+
+
+@pytest.mark.parametrize("setting", sorted(INTERFACE_SETTINGS))
+@pytest.mark.parametrize("workload", CONFIG_KERNELS)
+def test_interface_configs_bit_identical(workload, setting):
+    overrides, tweak, probe = INTERFACE_SETTINGS[setting]
+    program = build_workload(workload, 0.125).build()
+    reached = 0
+    for extension in CONFIG_MONITORS:
+        runs = {
+            engine: _configured_system(program, extension, overrides,
+                                       tweak).run_bounded(engine=engine)
+            for engine in ENGINES
+        }
+        reference = runs["reference"]
+        reached += probe(reference)
+        for engine in FUSED_ENGINES:
+            assert runs[engine].engine == engine
+            _assert_identical(reference, runs[engine])
+    assert reached > 0, f"{setting} never reached its branch"
+
+
+# ---------------------------------------------------------------------------
+# Layer 6: fault models that arm without a record hook.
+
+
+#: model -> the DIFT fault armed on bitcount.  The CFGR flip turns the
+#: ALWAYS policy for word loads into ALWAYS_ACK, so every later load
+#: waits for an ack; the drop loses a packet mid-run.
+ARMED_FAULTS = {
+    "fifo-drop": FaultSpec.make("fifo-drop", index=2_000),
+    "lut-config": FaultSpec.make(
+        "lut-config", bit=2 * int(InstrClass.LOAD_WORD)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(ARMED_FAULTS))
+def test_armed_fault_bit_identical_across_engines(model):
+    spec = ARMED_FAULTS[model]
+    program = build_workload("bitcount", 0.125).build()
+    outcomes = {}
+    for engine in ENGINES:
+        system = _configured_system(program, "dift")
+        create_model(model).arm(system, spec)
+        assert not system.record_hooks, "model must arm without a hook"
+        # Count the packets the (possibly patched) monitor receives,
+        # to prove the drop's index is reached on every engine.
+        process = system.extension.process
+        delivered = [0]
+
+        def counted(packet, process=process, delivered=delivered):
+            delivered[0] += 1
+            return process(packet)
+
+        system.extension.process = counted
+        result = system.run_bounded(engine=engine)
+        assert result.engine == engine
+        outcomes[engine] = (result_fingerprint(result), run_digest(result),
+                            system.extension.snapshot_state(),
+                            delivered[0])
+    if model == "fifo-drop":
+        assert outcomes["reference"][3] >= spec.get("index")
+    else:
+        golden = _configured_system(program, "dift").run_bounded(
+            engine="reference")
+        assert outcomes["reference"][0] != result_fingerprint(golden), (
+            f"{spec} had no effect")
+    for engine in FUSED_ENGINES:
+        assert outcomes[engine] == outcomes["reference"]

@@ -5,7 +5,7 @@ import pytest
 from repro.core.executor import CpuState
 from repro.extensions import MonitorTrap, UninitializedMemoryCheck
 from repro.extensions.base import MetaAccess, PacketOutcome
-from repro.flexcore.packet import TracePacket
+from repro.flexcore.packet import PACKET_FIELD_BITS, TracePacket
 from repro.isa import FlexOpf, InstrClass, assemble
 from repro.memory.backing import SparseMemory
 
@@ -91,6 +91,66 @@ skip:   ta      0
         branch = next(p for r, p in pairs
                       if p.opcode == InstrClass.BRANCH)
         assert not branch.branch
+
+
+def _packet(**changes):
+    fields = dict(pc=0x1000, inst=0x01000000, addr=0x2000, res=7,
+                  srcv1=1, srcv2=2, cond=0b0100, branch=False,
+                  opcode=InstrClass.LOAD_WORD, decode=0b1, extra=0,
+                  src1=8, src2=9, dest=10)
+    fields.update(changes)
+    return TracePacket(**fields)
+
+
+class TestPacketContract:
+    def test_packet_fields_are_read_only(self):
+        packet = _packet()
+        with pytest.raises(AttributeError):
+            packet.addr = 0
+        with pytest.raises(AttributeError):
+            packet.record = None
+
+    def test_meta_access_fields_are_read_only(self):
+        access = MetaAccess("write", 0x100, 0xF)
+        with pytest.raises(AttributeError):
+            access.mask = 0
+
+    def test_equal_fields_mean_equal_packets(self):
+        assert _packet() == _packet()
+        assert hash(_packet()) == hash(_packet())
+        assert _packet() != _packet(res=8)
+        assert MetaAccess("read", 4) == MetaAccess("read", 4, 0xFFFFFFFF)
+        assert hash(MetaAccess("read", 4)) == hash(
+            MetaAccess("read", 4, 0xFFFFFFFF))
+
+    def test_fields_match_table_two(self):
+        # Every field but the trailing simulator-only ``record`` is a
+        # Table II wire, in Table II's order.
+        assert TracePacket._fields[-1] == "record"
+        assert tuple(f.upper() for f in TracePacket._fields[:-1]) == tuple(
+            PACKET_FIELD_BITS)
+
+    def test_from_commit_fills_fields_in_order(self):
+        pairs = packets_for("""
+        .text
+start:  set     data, %g1
+        ld      [%g1], %o0
+        ta      0
+        nop
+        .data
+data:   .word   0x11223344
+""")
+        record, packet = next((r, p) for r, p in pairs
+                              if p.opcode == InstrClass.LOAD_WORD)
+        assert packet.pc == record.pc
+        assert packet.inst == record.word
+        assert packet.addr == record.addr
+        assert packet.res == record.result == 0x11223344
+        assert packet.branch == record.branch_taken
+        assert packet.extra == record.y_before
+        assert (packet.src1, packet.src2, packet.dest) == (
+            record.src1_phys, record.src2_phys, record.dest_phys)
+        assert packet.record is record
 
 
 class TestPacketOutcome:
