@@ -1,6 +1,8 @@
 """Leon3-like main core: functional executor and timing model."""
 
 from repro.core.alu import (
+    ALU_VALUE,
+    CONDITIONS,
     AluResult,
     ConditionCodes,
     DivisionByZero,
@@ -15,6 +17,8 @@ from repro.core.executor import (
 from repro.core.timing import CoreTiming, CoreTimingConfig, CoreTimingStats
 
 __all__ = [
+    "ALU_VALUE",
+    "CONDITIONS",
     "AluResult",
     "CommitRecord",
     "ConditionCodes",

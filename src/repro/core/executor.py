@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.alu import ConditionCodes, execute_alu
+from repro.core.alu import CONDITIONS, ConditionCodes, execute_alu
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Cond, FlexOpf, InstrClass, Op, Op2, Op3, Op3Mem
@@ -25,6 +25,24 @@ from repro.isa.registers import (
 from repro.memory.backing import MemoryFault, SparseMemory
 
 MASK32 = 0xFFFFFFFF
+
+# Enum members the step function tests on every instruction, read once
+# here: a class-attribute lookup on an enum costs several times a
+# module-global one.
+_CALL = Op.CALL
+_FORMAT2 = Op.FORMAT2
+_FORMAT3_MEM = Op.FORMAT3_MEM
+_SETHI = Op2.SETHI
+_BA = Cond.BA
+_FLEXOP = Op3.FLEXOP
+_JMPL = Op3.JMPL
+_TICC = Op3.TICC
+_SAVE = Op3.SAVE
+_RESTORE = Op3.RESTORE
+_RDY = Op3.RDY
+_WRY = Op3.WRY
+_RETT = Op3.RETT
+_READ_STATUS = FlexOpf.READ_STATUS
 
 
 class SimulationError(Exception):
@@ -114,26 +132,7 @@ class CommitRecord:
 
 def evaluate_condition(cond: Cond, codes: ConditionCodes) -> bool:
     """Evaluate a Bicc condition against the integer condition codes."""
-    n, z, v, c = codes.n, codes.z, codes.v, codes.c
-    table = {
-        Cond.BA: True,
-        Cond.BN: False,
-        Cond.BE: z,
-        Cond.BNE: not z,
-        Cond.BG: not (z or (n != v)),
-        Cond.BLE: z or (n != v),
-        Cond.BGE: n == v,
-        Cond.BL: n != v,
-        Cond.BGU: not (c or z),
-        Cond.BLEU: c or z,
-        Cond.BCC: not c,
-        Cond.BCS: c,
-        Cond.BPOS: not n,
-        Cond.BNEG: n,
-        Cond.BVC: not v,
-        Cond.BVS: v,
-    }
-    return table[cond]
+    return CONDITIONS[cond](codes)
 
 
 class CpuState:
@@ -288,12 +287,15 @@ class CpuState:
     def _execute(
         self, pc: int, word: int, instr: Instruction
     ) -> CommitRecord:
+        # Positional, in field order (keywords cost ~3x as much).
+        codes = self.codes
         record = CommitRecord(
-            pc=pc, word=word, instr=instr, instr_class=instr.instr_class,
-            carry_before=self.codes.c, y_before=self.y,
+            pc, word, instr, instr.instr_class, 0, 0, 0, 0, 0, False,
+            0, 0, 0, codes.c, self.y,
         )
 
-        if instr.op == Op.CALL:
+        op = instr.op
+        if op == _CALL:
             target = (pc + 4 * instr.disp) & MASK32
             self.regs.write(15, pc)  # %o7 <- address of the call
             record.addr = target
@@ -304,8 +306,8 @@ class CpuState:
             record.cond = self.codes.pack()
             return record
 
-        if instr.op == Op.FORMAT2:
-            if instr.opcode == Op2.SETHI:
+        if op == _FORMAT2:
+            if instr.opcode == _SETHI:
                 value = (instr.imm << 10) & MASK32
                 self.regs.write(instr.rd, value)
                 record.result = value
@@ -314,14 +316,14 @@ class CpuState:
                 record.cond = self.codes.pack()
                 return record
             # Bicc
-            taken = evaluate_condition(instr.cond, self.codes)
+            taken = CONDITIONS[instr.cond](codes)
             target = (pc + 4 * instr.disp) & MASK32
             record.addr = target
             record.branch_taken = taken
             record.cond = self.codes.pack()
             if taken:
                 # `ba,a` annuls its delay slot even though taken.
-                if instr.annul and instr.cond == Cond.BA:
+                if instr.annul and instr.cond == _BA:
                     self._annul_next = True
                 self._advance(target)
             else:
@@ -330,7 +332,7 @@ class CpuState:
                 self._advance(self.npc + 4)
             return record
 
-        if instr.op == Op.FORMAT3_MEM:
+        if op == _FORMAT3_MEM:
             return self._execute_memory(record, instr)
 
         return self._execute_alu_format(record, instr)
@@ -401,14 +403,14 @@ class CpuState:
     ) -> CommitRecord:
         op3 = instr.opcode
 
-        if op3 == Op3.FLEXOP:
+        if op3 == _FLEXOP:
             record.srcv1 = self.regs.read(instr.rs1)
             record.srcv2 = self.regs.read(instr.rs2)
             record.src1_phys = self._phys(instr.rs1)
             record.src2_phys = self._phys(instr.rs2)
             record.dest_phys = self._phys(instr.rd)
             record.addr = (record.srcv1 + record.srcv2) & MASK32
-            if instr.opf == FlexOpf.READ_STATUS:
+            if instr.opf == _READ_STATUS:
                 value = self.coprocessor_read() & MASK32
                 self.regs.write(instr.rd, value)
                 record.result = value
@@ -416,7 +418,7 @@ class CpuState:
             record.cond = self.codes.pack()
             return record
 
-        if op3 == Op3.JMPL:
+        if op3 == _JMPL:
             a, b = self._operands(instr)
             target = (a + b) & MASK32
             if target & 3:
@@ -435,8 +437,8 @@ class CpuState:
             record.cond = self.codes.pack()
             return record
 
-        if op3 == Op3.TICC:
-            taken = evaluate_condition(instr.cond, self.codes)
+        if op3 == _TICC:
+            taken = CONDITIONS[instr.cond](self.codes)
             record.cond = self.codes.pack()
             if taken:
                 trap_number = instr.imm & 0x7F
@@ -451,7 +453,7 @@ class CpuState:
             self._advance(self.npc + 4)
             return record
 
-        if op3 == Op3.SAVE or op3 == Op3.RESTORE:
+        if op3 == _SAVE or op3 == _RESTORE:
             # Operands are read in the *old* window, the destination is
             # written in the *new* window.
             a, b = self._operands(instr)
@@ -460,7 +462,7 @@ class CpuState:
             record.src1_phys = self._phys(instr.rs1)
             if not instr.use_imm:
                 record.src2_phys = self._phys(instr.rs2)
-            if op3 == Op3.SAVE:
+            if op3 == _SAVE:
                 self.regs.save()
             else:
                 self.regs.restore()
@@ -472,7 +474,7 @@ class CpuState:
             record.cond = self.codes.pack()
             return record
 
-        if op3 == Op3.RDY:
+        if op3 == _RDY:
             self.regs.write(instr.rd, self.y)
             record.result = self.y
             record.dest_phys = self._phys(instr.rd)
@@ -480,7 +482,7 @@ class CpuState:
             record.cond = self.codes.pack()
             return record
 
-        if op3 == Op3.WRY:
+        if op3 == _WRY:
             a, b = self._operands(instr)
             self.y = (a ^ b) & MASK32  # SPARC wr: xor of operands
             record.srcv1 = a
@@ -490,7 +492,7 @@ class CpuState:
             record.cond = self.codes.pack()
             return record
 
-        if op3 == Op3.RETT:
+        if op3 == _RETT:
             raise SimulationError("rett is not supported (no trap mode)")
 
         # Plain ALU operation.

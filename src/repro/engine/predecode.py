@@ -53,7 +53,7 @@ never describes memory it has not read.
 
 from __future__ import annotations
 
-from repro.core.alu import execute_alu
+from repro.core.alu import ALU_OPS, ALU_VALUE, CONDITIONS
 from repro.core.executor import CommitRecord
 from repro.flexcore.cfgr import ForwardPolicy
 from repro.flexcore.packet import TracePacket
@@ -67,50 +67,6 @@ MASK32 = 0xFFFFFFFF
 #: Process-wide word -> Instruction memo.  Instructions are frozen and
 #: decoding is pure, so the memo is shared by every table.
 _DECODE_CACHE: dict[int, Instruction] = {}
-
-#: Branch condition evaluators, one closure per Cond (the reference
-#: ``evaluate_condition`` rebuilds a 16-entry dict per call).
-_COND_EVAL = {
-    Cond.BA: lambda codes: True,
-    Cond.BN: lambda codes: False,
-    Cond.BE: lambda codes: codes.z,
-    Cond.BNE: lambda codes: not codes.z,
-    Cond.BG: lambda codes: not (codes.z or (codes.n != codes.v)),
-    Cond.BLE: lambda codes: codes.z or (codes.n != codes.v),
-    Cond.BGE: lambda codes: codes.n == codes.v,
-    Cond.BL: lambda codes: codes.n != codes.v,
-    Cond.BGU: lambda codes: not (codes.c or codes.z),
-    Cond.BLEU: lambda codes: codes.c or codes.z,
-    Cond.BCC: lambda codes: not codes.c,
-    Cond.BCS: lambda codes: codes.c,
-    Cond.BPOS: lambda codes: not codes.n,
-    Cond.BNEG: lambda codes: codes.n,
-    Cond.BVC: lambda codes: not codes.v,
-    Cond.BVS: lambda codes: codes.v,
-}
-
-
-def _sra(a, b):
-    return (((a & MASK32) - ((a & 0x80000000) << 1)) >> (b & 31)) & MASK32
-
-
-#: Non-cc ALU ops whose value the closure computes inline; every
-#: formula mirrors :func:`repro.core.alu.execute_alu` bit for bit.
-#: Anything cc-setting, carry-consuming or Y-touching calls
-#: ``execute_alu`` itself (see ``_make_alu_full``).
-_SIMPLE_ALU = {
-    Op3.ADD: lambda a, b: (a + b) & MASK32,
-    Op3.SUB: lambda a, b: (a - b) & MASK32,
-    Op3.AND: lambda a, b: a & b & MASK32,
-    Op3.ANDN: lambda a, b: a & ~b & MASK32,
-    Op3.OR: lambda a, b: (a | b) & MASK32,
-    Op3.ORN: lambda a, b: (a | ~b) & MASK32,
-    Op3.XOR: lambda a, b: (a ^ b) & MASK32,
-    Op3.XNOR: lambda a, b: ~(a ^ b) & MASK32,
-    Op3.SLL: lambda a, b: (a << (b & 31)) & MASK32,
-    Op3.SRL: lambda a, b: (a >> (b & 31)) & MASK32,
-    Op3.SRA: _sra,
-}
 
 #: FORMAT3_ALU opcodes with side effects beyond regs/codes/Y writes
 #: (window rotation, control transfer, traps, co-processor I/O); these
@@ -234,7 +190,7 @@ class HandlerTable:
         if policy == ForwardPolicy.IGNORE:
             op = instr.op
             if op == Op.FORMAT3_ALU and instr.opcode not in _SPECIAL_ALU:
-                valfn = _SIMPLE_ALU.get(instr.opcode)
+                valfn = ALU_VALUE.get(instr.opcode)
                 if valfn is not None:
                     handler = self._make_alu_simple(pc, instr, valfn,
                                                     latency)
@@ -255,7 +211,7 @@ class HandlerTable:
         else:
             op = instr.op
             if op == Op.FORMAT3_ALU and instr.opcode not in _SPECIAL_ALU:
-                valfn = _SIMPLE_ALU.get(instr.opcode)
+                valfn = ALU_VALUE.get(instr.opcode)
                 if valfn is not None:
                     handler = self._make_alu_simple_fwd(pc, word, instr,
                                                         valfn, latency)
@@ -352,12 +308,12 @@ class HandlerTable:
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
-        op3 = instr.opcode
+        alu_op = ALU_OPS[instr.opcode]
 
         def handler(now):
             a = regs_read(rs1)
             b = imm if use_imm else regs_read(rs2)
-            alu = execute_alu(op3, a, b, carry=cpu.codes.c, y=cpu.y)
+            alu = alu_op(a, b, cpu.codes.c, cpu.y)
             regs_write(rd, alu.value)
             if alu.codes is not None:
                 cpu.codes = alu.codes
@@ -524,7 +480,7 @@ class HandlerTable:
     def _make_branch(self, pc, instr, latency):
         (cpu, timing, iface, _regs_read, _regs_write, _phys,
          icache_read, refill) = self._context()
-        cond_eval = _COND_EVAL[instr.cond]
+        cond_eval = CONDITIONS[instr.cond]
         target = (pc + 4 * instr.disp) & MASK32
         annul = instr.annul
         annul_taken = instr.annul and instr.cond == Cond.BA
@@ -632,7 +588,9 @@ class HandlerTable:
     # commit tail (``_make_forward``) that replays ``on_commit``'s
     # body with the policy, ack mode and static DECODE bits resolved
     # at build time.  The dynamic machinery (FIFO occupancy,
-    # ``_service``, trap latching) stays on the original code.
+    # ``_service``, trap latching) stays on the original code.  The
+    # record is built positionally, in field order: keyword
+    # construction costs about three times as much.
 
     def _make_forward(self, pc, word, instr, klass):
         """Fused equivalent of ``on_commit`` + ``from_commit`` for a
@@ -711,12 +669,9 @@ class HandlerTable:
             regs_write(rd, value)
             codes = cpu.codes
             record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                result=value, srcv1=a, srcv2=b, cond=codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
+                pc, word, instr, klass, 0, value, a, b, codes.pack(),
+                False, phys(rs1), 0 if use_imm else phys(rs2), phys(rd),
+                codes.c, cpu.y,
             )
             npc = cpu.npc
             cpu.pc = npc
@@ -749,7 +704,7 @@ class HandlerTable:
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
-        op3 = instr.opcode
+        alu_op = ALU_OPS[instr.opcode]
         klass = instr.instr_class
         forward = self._make_forward(pc, word, instr, klass)
 
@@ -758,20 +713,17 @@ class HandlerTable:
             b = imm if use_imm else regs_read(rs2)
             carry_before = cpu.codes.c
             y_before = cpu.y
-            alu = execute_alu(op3, a, b, carry=carry_before, y=y_before)
+            alu = alu_op(a, b, carry_before, y_before)
             regs_write(rd, alu.value)
             if alu.codes is not None:
                 cpu.codes = alu.codes
             if alu.y is not None:
                 cpu.y = alu.y
             record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                result=alu.value, srcv1=a, srcv2=b,
-                cond=cpu.codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=carry_before, y_before=y_before,
+                pc, word, instr, klass, 0, alu.value, a, b,
+                cpu.codes.pack(), False, phys(rs1),
+                0 if use_imm else phys(rs2), phys(rd), carry_before,
+                y_before,
             )
             npc = cpu.npc
             cpu.pc = npc
@@ -836,13 +788,9 @@ class HandlerTable:
             regs_write(rd, value)
             codes = cpu.codes
             record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=addr, result=value, srcv1=a, srcv2=b,
-                cond=codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
+                pc, word, instr, klass, addr, value, a, b, codes.pack(),
+                False, phys(rs1), 0 if use_imm else phys(rs2), phys(rd),
+                codes.c, cpu.y,
             )
             npc = cpu.npc
             cpu.pc = npc
@@ -905,13 +853,9 @@ class HandlerTable:
                 invalidate(addr)
             codes = cpu.codes
             record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=addr, result=value, srcv1=a, srcv2=b,
-                cond=codes.pack(),
-                src1_phys=phys(rs1),
-                src2_phys=0 if use_imm else phys(rs2),
-                dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
+                pc, word, instr, klass, addr, value, a, b, codes.pack(),
+                False, phys(rs1), 0 if use_imm else phys(rs2), phys(rd),
+                codes.c, cpu.y,
             )
             npc = cpu.npc
             cpu.pc = npc
@@ -946,7 +890,7 @@ class HandlerTable:
     def _make_branch_fwd(self, pc, word, instr, latency):
         (cpu, timing, iface, _regs_read, _regs_write, _phys,
          icache_read, refill) = self._context()
-        cond_eval = _COND_EVAL[instr.cond]
+        cond_eval = CONDITIONS[instr.cond]
         target = (pc + 4 * instr.disp) & MASK32
         annul = instr.annul
         annul_taken = instr.annul and instr.cond == Cond.BA
@@ -957,9 +901,8 @@ class HandlerTable:
             codes = cpu.codes
             taken = cond_eval(codes)
             record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=target, branch_taken=taken, cond=codes.pack(),
-                carry_before=codes.c, y_before=cpu.y,
+                pc, word, instr, klass, target, 0, 0, 0, codes.pack(),
+                taken, 0, 0, 0, codes.c, cpu.y,
             )
             if taken:
                 if annul_taken:
@@ -1001,9 +944,8 @@ class HandlerTable:
             regs_write(rd, value)
             codes = cpu.codes
             record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                result=value, cond=codes.pack(), dest_phys=phys(rd),
-                carry_before=codes.c, y_before=cpu.y,
+                pc, word, instr, klass, 0, value, 0, 0, codes.pack(),
+                False, 0, 0, phys(rd), codes.c, cpu.y,
             )
             npc = cpu.npc
             cpu.pc = npc
@@ -1035,10 +977,8 @@ class HandlerTable:
             regs_write(15, pc)  # %o7 <- address of the call
             codes = cpu.codes
             record = CommitRecord(
-                pc=pc, word=word, instr=instr, instr_class=klass,
-                addr=target, result=pc, branch_taken=True,
-                cond=codes.pack(), dest_phys=phys(15),
-                carry_before=codes.c, y_before=cpu.y,
+                pc, word, instr, klass, target, pc, 0, 0, codes.pack(),
+                True, 0, 0, phys(15), codes.c, cpu.y,
             )
             npc = cpu.npc
             cpu.pc = npc
@@ -1238,7 +1178,6 @@ class SuperblockTable(HandlerTable):
             "SBP": timing.store_buffer.push,
             "RF": system.bus.line_refill,
             "CR": CommitRecord,
-            "EA": execute_alu,
             "INV": self.invalidate,
         }
         n = len(members)
@@ -1402,13 +1341,10 @@ class SuperblockTable(HandlerTable):
             emit(ind + f"W({rd}, value)")
             if forwarded:
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr=addr, result=value, srcv1=a, srcv2=b, "
-                     f"cond=codes.pack(), src1_phys=P({rs1}), "
-                     f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit(ind + f"record = CR({addr}, {word}, I{k}, K{k}, "
+                     f"addr, value, a, b, codes.pack(), False, "
+                     f"P({rs1}), {0 if use_imm else f'P({rs2})'}, "
+                     f"P({rd}), codes.c, cpu.y)")
             emit_ifetch()
             emit_interlock(load_dest=True)
             emit(ind + "if not DC(addr):")
@@ -1426,13 +1362,10 @@ class SuperblockTable(HandlerTable):
             emit(ind + "    INV(addr)")
             if forwarded:
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr=addr, result=value, srcv1=a, srcv2=b, "
-                     f"cond=codes.pack(), src1_phys=P({rs1}), "
-                     f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit(ind + f"record = CR({addr}, {word}, I{k}, K{k}, "
+                     f"addr, value, a, b, codes.pack(), False, "
+                     f"P({rs1}), {0 if use_imm else f'P({rs2})'}, "
+                     f"P({rd}), codes.c, cpu.y)")
             emit_ifetch()
             emit_interlock(include_rd=True)
             emit(ind + "DCW(addr)")
@@ -1441,18 +1374,16 @@ class SuperblockTable(HandlerTable):
             emit(ind + "now = proceed")
             emit_commit()
         elif is_branch:
-            ns[f"C{k}"] = _COND_EVAL[instr.cond]
+            ns[f"C{k}"] = CONDITIONS[instr.cond]
             target = (addr + 4 * instr.disp) & MASK32
             annul = instr.annul
             annul_taken = instr.annul and instr.cond == Cond.BA
             if forwarded:
                 emit(ind + "codes = cpu.codes")
                 emit(ind + f"taken = C{k}(codes)")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr={target}, branch_taken=taken, "
-                     f"cond=codes.pack(), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit(ind + f"record = CR({addr}, {word}, I{k}, K{k}, "
+                     f"{target}, 0, 0, 0, codes.pack(), taken, 0, 0, "
+                     f"0, codes.c, cpu.y)")
                 emit(ind + "if taken:")
             else:
                 emit(ind + f"if C{k}(cpu.codes):")
@@ -1473,12 +1404,9 @@ class SuperblockTable(HandlerTable):
             if forwarded:
                 emit(ind + f"W(15, {addr})")
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"addr={target}, result={addr}, "
-                     f"branch_taken=True, cond=codes.pack(), "
-                     f"dest_phys=P(15), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit(ind + f"record = CR({addr}, {word}, I{k}, K{k}, "
+                     f"{target}, {addr}, 0, 0, codes.pack(), True, 0, "
+                     f"0, P(15), codes.c, cpu.y)")
             else:
                 emit(ind + f"W(15, {addr})")
             emit(ind + f"cpu.pc = {npc}")
@@ -1491,17 +1419,15 @@ class SuperblockTable(HandlerTable):
             emit(ind + f"W({rd}, {value})")
             if forwarded:
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"result={value}, cond=codes.pack(), "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit(ind + f"record = CR({addr}, {word}, I{k}, K{k}, "
+                     f"0, {value}, 0, 0, codes.pack(), False, 0, 0, "
+                     f"P({rd}), codes.c, cpu.y)")
             emit_ifetch()
             emit_flat_latency()
             emit_commit()
         else:
             # FORMAT3_ALU (simple or full).
-            valfn = _SIMPLE_ALU.get(instr.opcode)
+            valfn = ALU_VALUE.get(instr.opcode)
             emit_operands()
             if valfn is not None and not forwarded:
                 ns[f"V{k}"] = valfn
@@ -1511,36 +1437,28 @@ class SuperblockTable(HandlerTable):
                 emit(ind + f"value = V{k}(a, b)")
                 emit(ind + f"W({rd}, value)")
                 emit(ind + "codes = cpu.codes")
-                emit(ind + f"record = CR(pc={addr}, "
-                     f"word={word}, instr=I{k}, instr_class=K{k}, "
-                     f"result=value, srcv1=a, srcv2=b, "
-                     f"cond=codes.pack(), src1_phys=P({rs1}), "
-                     f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                     f"dest_phys=P({rd}), carry_before=codes.c, "
-                     f"y_before=cpu.y)")
+                emit(ind + f"record = CR({addr}, {word}, I{k}, K{k}, "
+                     f"0, value, a, b, codes.pack(), False, "
+                     f"P({rs1}), {0 if use_imm else f'P({rs2})'}, "
+                     f"P({rd}), codes.c, cpu.y)")
             else:
-                ns[f"O{k}"] = instr.opcode
+                ns[f"O{k}"] = ALU_OPS[instr.opcode]
                 if forwarded:
                     emit(ind + "carry_before = cpu.codes.c")
                     emit(ind + "y_before = cpu.y")
-                    emit(ind + f"alu = EA(O{k}, a, b, "
-                         "carry=carry_before, y=y_before)")
+                    emit(ind + f"alu = O{k}(a, b, carry_before, y_before)")
                 else:
-                    emit(ind + f"alu = EA(O{k}, a, b, "
-                         "carry=cpu.codes.c, y=cpu.y)")
+                    emit(ind + f"alu = O{k}(a, b, cpu.codes.c, cpu.y)")
                 emit(ind + f"W({rd}, alu.value)")
                 emit(ind + "if alu.codes is not None:")
                 emit(ind + "    cpu.codes = alu.codes")
                 emit(ind + "if alu.y is not None:")
                 emit(ind + "    cpu.y = alu.y")
                 if forwarded:
-                    emit(ind + f"record = CR(pc={addr}, "
-                         f"word={word}, instr=I{k}, instr_class=K{k}, "
-                         f"result=alu.value, srcv1=a, srcv2=b, "
-                         f"cond=cpu.codes.pack(), src1_phys=P({rs1}), "
-                         f"src2_phys={0 if use_imm else f'P({rs2})'}, "
-                         f"dest_phys=P({rd}), carry_before="
-                         f"carry_before, y_before=y_before)")
+                    emit(ind + f"record = CR({addr}, {word}, I{k}, K{k}, "
+                         f"0, alu.value, a, b, cpu.codes.pack(), False, "
+                         f"P({rs1}), {0 if use_imm else f'P({rs2})'}, "
+                         f"P({rd}), carry_before, y_before)")
             emit_ifetch()
             emit_interlock()
             emit_commit()

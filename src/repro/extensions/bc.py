@@ -23,6 +23,11 @@ from repro.isa.opcodes import MEMORY_CLASSES, FlexOpf, InstrClass
 COLOR_MASK = 0xF
 WILDCARD = 0
 
+#: Enum members read per packet, bound once (a module global is
+#: several times cheaper than an enum class-attribute lookup).
+_FLEX = InstrClass.FLEX
+_ARITH_SUB = InstrClass.ARITH_SUB
+
 
 class ArrayBoundCheck(MonitorExtension):
     """Colour-tag spatial memory safety checking."""
@@ -75,7 +80,7 @@ class ArrayBoundCheck(MonitorExtension):
         tags = self.mem_tags
         opcode = packet.opcode
 
-        if opcode == InstrClass.FLEX:
+        if opcode == _FLEX:
             outcome = self.handle_flex(packet)
             opf = packet.opf
             addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
@@ -144,7 +149,7 @@ class ArrayBoundCheck(MonitorExtension):
         # as `or`): additive colour propagation; subtraction cancels.
         c1 = self.shadow.read(packet.src1)
         c2 = self.shadow.read(packet.src2)
-        if opcode == InstrClass.ARITH_SUB:
+        if opcode == _ARITH_SUB:
             color = (c1 - c2) & COLOR_MASK
         else:
             color = (c1 + c2) & COLOR_MASK

@@ -24,6 +24,12 @@ from repro.isa.opcodes import ALU_CLASSES, InstrClass, Op3
 
 MERSENNE_MOD = 7  # 2**3 - 1, Section IV-D
 
+#: Enum members read per packet, bound once (a module global is
+#: several times cheaper than an enum class-attribute lookup).
+_FLEX = InstrClass.FLEX
+#: Classes checked by Mersenne-mod checksum rather than bit for bit.
+_MOD_CHECKED = frozenset({InstrClass.MUL, InstrClass.DIV})
+
 
 class SoftErrorCheck(MonitorExtension):
     """Re-execute-and-compare checking of the main core's ALU."""
@@ -48,7 +54,7 @@ class SoftErrorCheck(MonitorExtension):
         return config
 
     def process(self, packet: TracePacket) -> PacketOutcome:
-        if packet.opcode == InstrClass.FLEX:
+        if packet.opcode == _FLEX:
             return self.handle_flex(packet)
 
         outcome = PacketOutcome()
@@ -60,13 +66,8 @@ class SoftErrorCheck(MonitorExtension):
             return outcome
 
         try:
-            check = execute_alu(
-                op3,
-                packet.srcv1,
-                packet.srcv2,
-                carry=packet.carry_in,
-                y=packet.extra,
-            )
+            check = execute_alu(op3, packet.srcv1, packet.srcv2,
+                                packet.carry_in, packet.extra)
         except DivisionByZero:
             return outcome
         except ValueError:
@@ -77,7 +78,7 @@ class SoftErrorCheck(MonitorExtension):
 
         expected = check.value
         actual = packet.res
-        if packet.opcode in (InstrClass.MUL, InstrClass.DIV):
+        if packet.opcode in _MOD_CHECKED:
             # The hardware checker compares Mersenne-mod checksums
             # rather than recomputing the full product/quotient.
             mismatch = (expected % MERSENNE_MOD) != (actual % MERSENNE_MOD)

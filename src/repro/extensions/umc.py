@@ -15,6 +15,10 @@ from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
 from repro.flexcore.packet import TracePacket
 from repro.isa.opcodes import MEMORY_CLASSES, FlexOpf, InstrClass
 
+#: Enum members read per packet, bound once (a module global is
+#: several times cheaper than an enum class-attribute lookup).
+_FLEX = InstrClass.FLEX
+
 
 class UninitializedMemoryCheck(MonitorExtension):
     """1-bit initialized/uninitialized tag per memory word."""
@@ -42,7 +46,7 @@ class UninitializedMemoryCheck(MonitorExtension):
 
     def process(self, packet: TracePacket) -> PacketOutcome:
         tags = self.mem_tags
-        if packet.opcode == InstrClass.FLEX:
+        if packet.opcode == _FLEX:
             outcome = self.handle_flex(packet)
             addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
             if packet.opf == FlexOpf.TAG_CLR_MEM:

@@ -37,6 +37,15 @@ from repro.memory.cache import META_CACHE_CONFIG, CacheConfig, MetadataCache
 if TYPE_CHECKING:
     from repro.extensions.base import MonitorExtension, MonitorTrap
 
+#: Enum members ``on_commit`` reads per instruction, bound once (a
+#: module global is several times cheaper than an enum class-attribute
+#: lookup).
+_IGNORE = ForwardPolicy.IGNORE
+_BEST_EFFORT = ForwardPolicy.BEST_EFFORT
+_ALWAYS_ACK = ForwardPolicy.ALWAYS_ACK
+_FLEX = InstrClass.FLEX
+_READ_STATUS = FlexOpf.READ_STATUS
+
 
 @dataclass
 class InterfaceConfig:
@@ -260,7 +269,7 @@ class CoreFabricInterface:
 
         instr_class = record.instr_class
         policy = self.cfgr.policy(instr_class)
-        if policy == ForwardPolicy.IGNORE:
+        if policy == _IGNORE:
             stats.ignored += 1
             if self._m_ignored is not None:
                 self._m_ignored.inc()
@@ -270,14 +279,13 @@ class CoreFabricInterface:
         # BFIFO round trip, regardless of the class policy; precise-
         # exception mode acknowledges every forwarded instruction.
         needs_ack = (
-            policy == ForwardPolicy.ALWAYS_ACK
+            policy == _ALWAYS_ACK
             or self.config.precise_exceptions
-            or (instr_class == InstrClass.FLEX
-                and record.instr.opf == FlexOpf.READ_STATUS)
+            or (instr_class == _FLEX and record.instr.opf == _READ_STATUS)
         )
 
         if self.fifo.is_full(now):
-            if policy == ForwardPolicy.BEST_EFFORT:
+            if policy == _BEST_EFFORT:
                 stats.dropped += 1
                 self.fifo.stats.dropped += 1
                 if self._tracer is not None:

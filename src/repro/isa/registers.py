@@ -72,6 +72,20 @@ class RegisterFile:
         self._depth = 0
 
     @property
+    def cwp(self) -> int:
+        """Current window pointer."""
+        return self._cwp
+
+    @cwp.setter
+    def cwp(self, window: int) -> None:
+        self._cwp = window
+        # Architectural -> physical index for this window, rebuilt on
+        # every CWP change so the per-access paths are one lookup.
+        self._map = {
+            arch: self._window_index(arch, window) for arch in range(32)
+        }
+
+    @property
     def num_physical(self) -> int:
         """Total number of physical registers (globals + window bank)."""
         return len(self._phys)
@@ -79,11 +93,18 @@ class RegisterFile:
     def physical_index(self, arch_index: int, cwp: int | None = None) -> int:
         """Translate an architectural register index (0..31) under the
         given (default current) window pointer to a physical index."""
-        if not 0 <= arch_index < 32:
-            raise ValueError(f"register index out of range: {arch_index}")
+        if cwp is None:
+            try:
+                return self._map[arch_index]
+            except KeyError:
+                pass
+        elif 0 <= arch_index < 32:
+            return self._window_index(arch_index, cwp)
+        raise ValueError(f"register index out of range: {arch_index}")
+
+    def _window_index(self, arch_index: int, window: int) -> int:
         if arch_index < 8:
             return arch_index
-        window = self.cwp if cwp is None else cwp
         # Window w owns slot w for its outs (offsets 0..7) and locals
         # (offsets 8..15); its ins alias slot w+1's outs — which is
         # exactly the caller's out registers, since `save` decrements
@@ -103,13 +124,23 @@ class RegisterFile:
         """Read an architectural register; %g0 always reads zero."""
         if arch_index == 0:
             return 0
-        return self._phys[self.physical_index(arch_index)]
+        try:
+            return self._phys[self._map[arch_index]]
+        except KeyError:
+            raise ValueError(
+                f"register index out of range: {arch_index}"
+            ) from None
 
     def write(self, arch_index: int, value: int) -> None:
         """Write an architectural register; writes to %g0 are ignored."""
         if arch_index == 0:
             return
-        self._phys[self.physical_index(arch_index)] = value & 0xFFFFFFFF
+        try:
+            self._phys[self._map[arch_index]] = value & 0xFFFFFFFF
+        except KeyError:
+            raise ValueError(
+                f"register index out of range: {arch_index}"
+            ) from None
 
     def read_physical(self, phys_index: int) -> int:
         """Direct physical read (used by tests and the shadow file)."""

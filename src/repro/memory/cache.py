@@ -70,21 +70,29 @@ class Cache:
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
         self.stats = CacheStats()
+        # Geometry is fixed at construction; the lookups read these
+        # copies rather than re-deriving them from the config.
+        self._num_sets = self.config.num_sets
+        self._associativity = self.config.associativity
         # Per-set list of resident line tags, most recently used last.
         self._sets: list[list[int]] = [
-            [] for _ in range(self.config.num_sets)
+            [] for _ in range(self._num_sets)
         ]
         line = self.config.line_bytes
         self._offset_bits = line.bit_length() - 1
 
     def _locate(self, addr: int) -> tuple[list[int], int]:
         line_addr = addr >> self._offset_bits
-        set_index = line_addr % self.config.num_sets
-        return self._sets[set_index], line_addr
+        return self._sets[line_addr % self._num_sets], line_addr
 
     def read(self, addr: int) -> bool:
         """Look up ``addr`` for a read; fill on miss. Returns hit?"""
-        ways, tag = self._locate(addr)
+        tag = addr >> self._offset_bits
+        ways = self._sets[tag % self._num_sets]
+        if ways and ways[-1] == tag:
+            # MRU hit: the LRU order is already right.
+            self.stats.read_hits += 1
+            return True
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)
@@ -92,14 +100,18 @@ class Cache:
             return True
         self.stats.read_misses += 1
         ways.append(tag)
-        if len(ways) > self.config.associativity:
+        if len(ways) > self._associativity:
             ways.pop(0)
         return False
 
     def write(self, addr: int) -> bool:
         """Look up ``addr`` for a write.  Write-through/no-allocate:
         a miss does not fill the line.  Returns hit?"""
-        ways, tag = self._locate(addr)
+        tag = addr >> self._offset_bits
+        ways = self._sets[tag % self._num_sets]
+        if ways and ways[-1] == tag:
+            self.stats.write_hits += 1
+            return True
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)

@@ -1,10 +1,14 @@
 """ALU semantics: exact SPARC V8 arithmetic, condition codes."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.alu import (
+    ALU_OPS,
+    AluResult,
     ConditionCodes,
     DivisionByZero,
     execute_alu,
@@ -132,6 +136,13 @@ class TestDivide:
         with pytest.raises(DivisionByZero):
             execute_alu(Op3.UDIV, 1, 0)
 
+    def test_sdiv_truncates_exactly(self):
+        # 0x1fffffff_bfffffff / 0x7fffffff = 0x3fffffff.fffffffd...: a
+        # double rounds that quotient up to 0x40000000.
+        result = execute_alu(Op3.SDIV, 0xBFFFFFFF, 0x7FFFFFFF,
+                             y=0x1FFFFFFF)
+        assert result.value == 0x3FFFFFFF
+
 
 class TestConditionCodes:
     def test_pack_unpack(self):
@@ -188,3 +199,125 @@ def test_property_subcc_flags_match_comparison(a, b):
     assert codes.c == (a < b)  # unsigned below
     assert codes.z == (a == b)
     assert (codes.n != codes.v) == (signed(a) < signed(b))
+
+
+# ---------------------------------------------------------------------------
+# The table-driven ALU against an independent big-int model of SPARC V8.
+
+#: Format-3 ALU-space op3s that are not integer ALU operations.
+NOT_ALU = {Op3.RDY, Op3.WRY, Op3.FLEXOP, Op3.JMPL, Op3.RETT, Op3.TICC,
+           Op3.SAVE, Op3.RESTORE}
+ALU_OP3S = sorted(op for op in Op3 if op not in NOT_ALU)
+
+
+def _s64(value):
+    return value - ((value & (1 << 63)) << 1)
+
+
+def oracle(op3, a, b, carry, y):
+    """(value, codes, y) of one ALU op, straight from the V8 manual's
+    definitions on unbounded integers; raises DivisionByZero."""
+    name = Op3(op3).name
+    cc = name.endswith("CC")
+    base = name[:-2] if cc else name
+    cin = int(carry) if base in ("ADDX", "SUBX") else 0
+    v = c = False
+    new_y = None
+    if base in ("ADD", "ADDX"):
+        total = a + b + cin
+        c = total >= 1 << 32
+        v = not -(1 << 31) <= signed(a) + signed(b) + cin < 1 << 31
+    elif base in ("SUB", "SUBX"):
+        total = a - b - cin
+        c = total < 0
+        v = not -(1 << 31) <= signed(a) - signed(b) - cin < 1 << 31
+    elif base in ("AND", "ANDN", "OR", "ORN", "XOR", "XNOR"):
+        other = ~b if base in ("ANDN", "ORN", "XNOR") else b
+        total = {"AND": a & other, "ANDN": a & other, "OR": a | other,
+                 "ORN": a | other, "XOR": a ^ other,
+                 "XNOR": a ^ other}[base]
+    elif base == "SLL":
+        total = a << (b % 32)
+    elif base == "SRL":
+        total = a >> (b % 32)
+    elif base == "SRA":
+        total = signed(a) >> (b % 32)
+    elif base in ("UMUL", "SMUL"):
+        total = a * b if base == "UMUL" else signed(a) * signed(b)
+        new_y = (total >> 32) % (1 << 32)
+    else:
+        if b == 0:
+            raise DivisionByZero
+        if base == "UDIV":
+            total = ((y << 32) | a) // b
+            v = total > MASK
+            total = min(total, MASK)
+        else:
+            total = int(Fraction(_s64((y << 32) | a), signed(b)))
+            v = not -(1 << 31) <= total < 1 << 31
+            total = max(-(1 << 31), min(total, (1 << 31) - 1))
+    value = total % (1 << 32)
+    codes = None
+    if cc:
+        codes = ConditionCodes(n=value >= 1 << 31, z=value == 0,
+                               v=v, c=c)
+    return value, codes, new_y
+
+
+@given(st.sampled_from(ALU_OP3S), U32, U32, st.booleans(), U32)
+def test_property_every_op_matches_oracle(op3, a, b, carry, y):
+    try:
+        expected = oracle(op3, a, b, carry, y)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            execute_alu(op3, a, b, carry=carry, y=y)
+        return
+    assert tuple(execute_alu(op3, a, b, carry=carry, y=y)) == expected
+
+
+@given(st.sampled_from([Op3.SDIV, Op3.SDIVCC]), U32,
+       st.integers(1, 0xFFFFFFFF), U32)
+def test_property_sdiv_matches_oracle(op3, a, b, y):
+    assert tuple(execute_alu(op3, a, b, y=y)) == oracle(op3, a, b, False, y)
+
+
+def test_table_covers_exactly_the_alu_ops():
+    assert sorted(ALU_OPS) == ALU_OP3S
+
+
+@pytest.mark.parametrize("op3", range(64))
+def test_every_op3_value(op3):
+    """ALU ops execute; every other op3 raises a plain ValueError with
+    the message the executor has always given."""
+    if op3 in ALU_OP3S:
+        assert execute_alu(op3, 6, 3).value == execute_alu(
+            Op3(op3), 6, 3).value
+        return
+    if op3 in {int(member) for member in Op3}:
+        messages = [(op3, f"not an ALU operation: {op3!r}"),
+                    (Op3(op3), f"not an ALU operation: {Op3(op3)!r}")]
+    else:
+        messages = [(op3, f"{op3} is not a valid Op3")]
+    for arg, message in messages:
+        with pytest.raises(ValueError) as info:
+            execute_alu(arg, 1, 2)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+
+def test_alu_result_is_an_immutable_triple():
+    result = execute_alu(Op3.UMULCC, 3, 5)
+    assert AluResult._fields == ("value", "codes", "y")
+    assert result == AluResult(value=15, codes=ConditionCodes(), y=0)
+    with pytest.raises(AttributeError):
+        result.value = 0
+
+
+@given(st.sampled_from(ALU_OP3S), U32, st.integers(1, 0xFFFFFFFF),
+       st.booleans(), U32)
+def test_property_codes_are_canonical(op3, a, b, carry, y):
+    codes = execute_alu(op3, a, b, carry=carry, y=y).codes
+    if codes is not None:
+        assert codes == ConditionCodes.unpack(codes.pack())
+        assert all(type(flag) is bool
+                   for flag in (codes.n, codes.z, codes.v, codes.c))

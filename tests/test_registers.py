@@ -145,3 +145,58 @@ def test_property_read_after_write(index, value):
     regs = RegisterFile()
     regs.write(index, value)
     assert regs.read(index) == value
+
+
+def window_formula(arch_index, cwp, nwindows):
+    """Physical index of an architectural register under ``cwp``."""
+    if arch_index < 8:
+        return arch_index
+    if arch_index < 24:  # outs and locals: this window's own slot
+        return 8 + cwp * 16 + (arch_index - 8)
+    return 8 + ((cwp + 1) % nwindows) * 16 + (arch_index - 24)
+
+
+@given(st.integers(2, 8), st.lists(st.booleans(), max_size=40),
+       st.integers(0, 7))
+def test_property_window_map_tracks_cwp(nwindows, moves, restored_cwp):
+    """After any save/restore sequence and a restore_state, every
+    architectural index maps through the window formula."""
+    regs = RegisterFile(nwindows)
+
+    def check():
+        for i in range(32):
+            assert regs.physical_index(i) == window_formula(
+                i, regs.cwp, nwindows)
+            for other in range(nwindows):
+                assert regs.physical_index(i, other) == window_formula(
+                    i, other, nwindows)
+        regs.write(9, 0x1234)
+        assert regs.read_physical(window_formula(9, regs.cwp,
+                                                 nwindows)) == 0x1234
+
+    check()
+    for save in moves:
+        try:
+            regs.save() if save else regs.restore()
+        except (WindowOverflow, WindowUnderflow):
+            pass
+        check()
+    state = regs.snapshot_state()
+    state["cwp"] = restored_cwp % nwindows
+    regs.restore_state(state)
+    assert regs.cwp == restored_cwp % nwindows
+    check()
+
+
+@pytest.mark.parametrize("index", [-1, -32, 32, 33, 1000])
+def test_out_of_range_indices_rejected(index):
+    regs = RegisterFile()
+    message = f"register index out of range: {index}"
+    with pytest.raises(ValueError, match=message):
+        regs.read(index)
+    with pytest.raises(ValueError, match=message):
+        regs.write(index, 1)
+    with pytest.raises(ValueError, match=message):
+        regs.physical_index(index)
+    with pytest.raises(ValueError, match=message):
+        regs.physical_index(index, 3)
