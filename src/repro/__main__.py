@@ -6,7 +6,7 @@ run      assemble and simulate a .s file, optionally with a monitor
 trace    simulate with full telemetry; export a Perfetto trace
 inject   run a fault-injection campaign against a monitor
 sweep    run an evaluation sweep grid across the worker pool
-bench    time the fast engine against the reference loop
+bench    time the fast engine against the reference engine
 compile  compile an MDL monitor spec; synthesize or run it
 disasm   assemble a .s file and print the disassembly listing
 table3   print the Table III area/power/frequency report
@@ -46,6 +46,7 @@ import sys
 from repro.core.executor import SimulationError
 from repro.extensions import create_extension
 from repro.flexcore import run_program
+from repro.flexcore.system import ENGINES
 from repro.isa import assemble, disassemble_program
 
 #: exit codes: 0 ok, 2 monitor trap / usage error (argparse's own
@@ -625,10 +626,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the fast and superblock engines against the reference loop
-    (and, with --campaign, a warm fault campaign against the cold
-    baseline) and verify every digest is bit-identical; nonzero exit
-    on divergence."""
+    """Time the fast engine against the reference engine (and, with
+    --campaign, a warm fault campaign against the cold baseline) and
+    verify every digest is bit-identical; nonzero exit on
+    divergence."""
     import json
 
     from repro.engine.bench import format_bench, run_bench
@@ -1021,9 +1022,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the canonical RunResult digest (CI golden check)",
     )
     run_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default=None,
-        help="execution engine (default fast; all are bit-identical)",
+        help="execution engine (default fast; superblock is an alias "
+             "of fast; all are bit-identical)",
     )
     run_cmd.set_defaults(handler=cmd_run)
 
@@ -1075,9 +1077,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the one-screen metrics summary",
     )
     trace_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default=None,
-        help="execution engine (tracing forces the reference loop)",
+        help="execution engine (tracing forces the reference engine)",
     )
     trace_cmd.set_defaults(handler=cmd_trace)
 
@@ -1191,9 +1193,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="worker processes")
     sweep_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default="fast",
-        help="execution engine (all are bit-identical)",
+        help="execution engine (superblock is an alias of fast; all "
+             "are bit-identical)",
     )
     sweep_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1272,9 +1275,10 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--jobs", type=int, default=1,
                              help="worker processes")
     explore_cmd.add_argument(
-        "--engine", choices=("fast", "reference", "superblock"),
+        "--engine", choices=ENGINES,
         default="fast",
-        help="execution engine (all are bit-identical)",
+        help="execution engine (superblock is an alias of fast; all "
+             "are bit-identical)",
     )
     explore_cmd.add_argument(
         "--journal", default=None, metavar="DIR",
@@ -1301,8 +1305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = commands.add_parser(
         "bench",
-        help="time the fast and superblock engines against the "
-             "reference loop",
+        help="time the fast engine against the reference engine",
     )
     bench_cmd.add_argument(
         "--quick", action="store_true",

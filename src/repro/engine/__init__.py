@@ -1,11 +1,13 @@
-"""Fast execution engine: predecoded step loop + parallel sweeps.
+"""Fast execution engine: predecoded handlers + parallel sweeps.
 
 Three pieces:
 
 * :mod:`repro.engine.predecode` / :mod:`repro.engine.fastloop` — the
-  per-PC fused handler closures and the flattened hot loop behind
-  ``engine="fast"`` (selected via ``SystemConfig.engine`` or the
-  ``engine=`` argument of ``run_program``/``run``/``run_bounded``).
+  per-PC fused handler closures behind ``engine="fast"`` (selected
+  via ``SystemConfig.engine`` or the ``engine=`` argument of
+  ``run_program``/``run``/``run_bounded``; ``"superblock"`` is an
+  alias), and the one run loop that drives them and the reference
+  engine's unfused step alike.
 * :mod:`repro.engine.pool` / :mod:`repro.engine.supervisor` — the
   shared supervised process-pool fan-out used by fault-injection
   campaigns and sweeps alike: per-task deadlines, worker-death
@@ -18,7 +20,7 @@ Three pieces:
 The fast engine's contract is *observational invariance*: for any
 program, extension and watchdog configuration, the
 :class:`~repro.flexcore.system.RunResult` digest is bit-identical to
-the reference loop's (``tests/test_engine_differential.py`` and the
+the reference engine's (``tests/test_engine_differential.py`` and the
 pinned golden digests enforce this).
 """
 
@@ -57,7 +59,7 @@ _SWEEP_EXPORTS = ("SweepOutcome", "SweepPoint", "SweepRunner",
 def __getattr__(name):
     # Lazy re-export: the sweep module imports the evaluation package
     # (whose experiment runners import the sweep module back), so an
-    # eager import here would turn the fast loop's ``import
+    # eager import here would turn the run loop's ``import
     # repro.engine.fastloop`` into a circular-import error.
     if name in _SWEEP_EXPORTS:
         from repro.engine import sweep

@@ -1,9 +1,8 @@
-"""The ``repro bench`` harness: engines vs reference, timed and checked.
+"""The ``repro bench`` harness: fast engine vs reference, timed and checked.
 
 Runs the Table-IV evaluation matrix once per engine — the reference
-loop, the fused fast engine, and the superblock engine layered on the
-predecoded body-fusion tables — comparing wall clock and asserting the
-per-point run digests are bit-identical across all of them.  With
+step path and the fused fast engine — comparing wall clock and
+asserting the per-point run digests are bit-identical across both.  With
 ``campaign=True`` it additionally times one fault-injection campaign
 twice: cold (every faulted run re-simulates its fault-free prefix from
 reset, the pre-warm-start baseline) and warm (faulted runs fork from
@@ -28,8 +27,8 @@ from repro.workloads import workload_names
 BENCH_FILENAME = "BENCH_perf.json"
 
 #: engines measured over the sweep matrix, slowest first.  The first
-#: entry is the digest referee for all the others.
-BENCH_ENGINES = ("reference", "fast", "superblock")
+#: entry is the digest referee for the other.
+BENCH_ENGINES = ("reference", "fast")
 
 #: the campaign the ``--campaign`` mode times: DIFT on sha is the
 #: paper's flagship monitored pair and long enough that the golden
@@ -79,8 +78,8 @@ def run_campaign_bench(quick: bool = False, jobs: int = 1,
     when parallel) — the pre-warm-start baseline where every faulted
     run re-simulates the fault-free prefix from reset.  ``warm`` is
     the shipped default: faulted runs fork from chained prefix
-    snapshots and finish on the superblock engine once their fault
-    settles.  ``reports_match`` is the correctness verdict: the two
+    snapshots and finish hook-free on the fast engine once their
+    fault settles.  ``reports_match`` is the correctness verdict: the two
     coverage reports must be bit-identical.  ``overrides`` replace any
     :class:`~repro.faultinject.campaign.CampaignConfig` field (tests
     shrink the campaign with them).
@@ -160,7 +159,6 @@ def run_bench(scale: float = 1.0, quick: bool = False, jobs: int = 1,
 
     ref_seconds = timings[referee]["seconds"]
     fast_seconds = timings["fast"]["seconds"]
-    sb_seconds = timings["superblock"]["seconds"]
     payload = {
         "quick": quick,
         "scale": scale,
@@ -168,13 +166,8 @@ def run_bench(scale: float = 1.0, quick: bool = False, jobs: int = 1,
         "points": rows,
         "reference": timings["reference"],
         "fast": timings["fast"],
-        "superblock": timings["superblock"],
         "speedup": (ref_seconds / fast_seconds
                     if fast_seconds > 0 else 0.0),
-        "superblock_speedup": (ref_seconds / sb_seconds
-                               if sb_seconds > 0 else 0.0),
-        "superblock_vs_fast": (fast_seconds / sb_seconds
-                               if sb_seconds > 0 else 0.0),
         "digests_match": digests_match,
     }
     if campaign:
@@ -202,11 +195,7 @@ def format_bench(payload: dict) -> str:
             f"  {engine:10s}: {timing['seconds']:8.2f}s  "
             f"{timing['instr_per_sec']:12,.0f} instr/s"
         )
-    lines.append(f"  speedup   : {payload['speedup']:.2f}x fast, "
-                 f"{payload.get('superblock_speedup', 0.0):.2f}x "
-                 f"superblock "
-                 f"({payload.get('superblock_vs_fast', 0.0):.2f}x "
-                 f"over fast)")
+    lines.append(f"  speedup   : {payload['speedup']:.2f}x fast")
     mismatches = [row for row in payload["points"] if not row["match"]]
     if mismatches:
         lines.append(f"  DIGEST MISMATCH on {len(mismatches)} point(s):")

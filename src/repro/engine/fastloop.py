@@ -1,17 +1,27 @@
-"""The flattened hot loop of the fast engine.
+"""The one run loop behind every execution engine.
 
-``run_fast_loop`` is the drop-in replacement for the body of
-``FlexCoreSystem.run_bounded``'s reference while-loop.  It drives the
-:class:`~repro.engine.predecode.HandlerTable` closures and keeps the
-watchdog, checkpoint, rollback-recovery and trap semantics of the
-reference loop exactly — same check order, same error wrapping, same
-cycle arithmetic — returning the same ``(now, trap, termination,
-error, recoveries, recovery_cycles)`` tuple the shared result tail
-consumes.
+:func:`run_loop` owns the control flow of a bounded run — the
+instruction-limit watchdog, the cycle cap, the wall-clock deadline
+stride, periodic checkpoints, monitor-triggered rollback, trap
+delivery and crash wrapping — and returns the ``(now, trap,
+termination, error, recoveries, recovery_cycles)`` tuple
+``FlexCoreSystem.run_bounded``'s shared result tail consumes.
 
-Eligibility is decided by ``FlexCoreSystem.run_bounded``
+What a committed instruction *does* comes from the engine's table, a
+``handlers`` dict of PC -> ``step(now) -> now`` filled lazily by
+``build(pc)``, plus an ``annulled(now)`` step the loop calls only
+when the pending delay slot is annulled:
+
+* :class:`~repro.engine.predecode.HandlerTable` (``engine="fast"``)
+  installs one fused closure per PC;
+* :class:`ReferenceTable` (``engine="reference"``) installs one shared
+  step for every PC — ``CpuState.step``, ``CoreTiming.advance``, the
+  record hooks, ``on_commit`` — the original unfused path, which is
+  also its ``annulled`` step.
+
+Which table runs is decided by ``FlexCoreSystem.run_bounded``
 (:meth:`~repro.flexcore.system.FlexCoreSystem._fast_loop_supported`):
-record hooks or live telemetry force the reference loop, because
+record hooks or live telemetry force the reference table, because
 hooks see every ``CommitRecord`` and tracers/metrics observe events
 the fused closures deliberately skip.
 """
@@ -21,20 +31,45 @@ from __future__ import annotations
 import time
 
 from repro.core.executor import SimulationError
-from repro.engine.predecode import (
-    MASK32,
-    NOBLOCK,
-    HandlerTable,
-    SuperblockTable,
-)
 from repro.isa.registers import WindowOverflow, WindowUnderflow
 from repro.memory.backing import MemoryFault
 
 _INFINITY = float("inf")
 
 
-def run_fast_loop(
+class ReferenceTable:
+    """The reference engine in the run loop's table shape."""
+
+    def __init__(self, system):
+        cpu_step = system.cpu.step
+        advance = system.core_timing.advance
+        iface = system.interface
+        if iface is None:
+            def step(now):
+                return advance(cpu_step(), int(now))
+        else:
+            hooks = system.record_hooks
+            on_commit = iface.on_commit
+
+            def step(now):
+                record = cpu_step()
+                now = advance(record, int(now))
+                for hook in hooks:
+                    hook(record)
+                return on_commit(record, now)
+
+        self._step = step
+        self.annulled = step
+        self.handlers: dict[int, object] = {}
+
+    def build(self, pc: int):
+        self.handlers[pc] = self._step
+        return self._step
+
+
+def run_loop(
     system,
+    table_class,
     limit: int,
     max_cycles: int | None,
     deadline: float | None,
@@ -44,20 +79,21 @@ def run_fast_loop(
     recovery_limit: int,
     recovery_latency: int,
 ):
-    """Run ``system`` to a stop condition; see module docstring."""
+    """Run ``system`` to a stop condition on a fresh ``table_class``
+    table; see module docstring."""
     from repro.flexcore.system import Termination
 
     cpu = system.cpu
-    timing = system.core_timing
     iface = system.interface
     stop_on_trap = system.config.stop_on_trap
     stride = system.DEADLINE_STRIDE
-    icache_read = timing.icache.read
-    refill = system.bus.line_refill
+    tracer = (system.telemetry.tracer
+              if system.telemetry is not None else None)
 
-    table = HandlerTable(system)
+    table = table_class(system)
     handlers = table.handlers
     build = table.build
+    annulled = table.annulled
 
     now = system.now
     trap = None
@@ -72,8 +108,14 @@ def run_fast_loop(
     next_checkpoint = (_INFINITY if checkpoint_every is None
                        else cpu.instret + checkpoint_every)
     checkpoint: dict | None = None
+    #: when the current attempt from ``checkpoint`` started — the
+    #: capture time until a rollback, then the resume time.  Wasted
+    #: work is measured from here, so repeated rollbacks to one
+    #: checkpoint never charge an earlier attempt twice.
     replay_from = now
     if recover:
+        # The rollback target before the first periodic checkpoint is
+        # the run's entry state.
         system.now = now
         checkpoint = system.snapshot_state()
 
@@ -106,31 +148,7 @@ def run_fast_loop(
         pc = cpu.pc
         try:
             if cpu._annul_next:
-                # Fused annulled delay slot: the reference still
-                # fetches and decodes the slot (errors included) —
-                # building its handler performs both — then charges
-                # ifetch plus one cycle and clears the interlock.
-                if pc not in handlers:
-                    build(pc)
-                cpu._annul_next = False
-                npc = cpu.npc
-                cpu.pc = npc
-                cpu.npc = (npc + 4) & MASK32
-                cpu.instret = instret + 1
-                ts = timing.stats
-                ts.instructions += 1
-                inow = int(now)
-                if not icache_read(pc):
-                    done = refill(inow, "core-ifetch")
-                    ts.icache_stall += done - inow
-                    inow = done
-                ts.base_cycles += 1
-                inow += 1
-                ts.cycles = inow
-                timing._pending_load_dest = -1
-                now = inow
-                if iface is not None:
-                    iface.stats.committed += 1
+                now = annulled(now)
             else:
                 handler = handlers.get(pc)
                 if handler is None:
@@ -155,8 +173,15 @@ def run_fast_loop(
                 and stop_on_trap):
             if (recover and checkpoint is not None
                     and recoveries < recovery_limit):
+                # Roll back and re-execute.  The restored state
+                # predates the trap, so pending_trap comes back clear;
+                # time keeps moving forward — detection, rollback and
+                # replay all cost real cycles.
                 trap_at = max(now, iface.trap_time)
                 wasted = trap_at - replay_from + recovery_latency
+                if tracer is not None:
+                    tracer.span(trap_at, recovery_latency, "monitor",
+                                "monitor.rollback", wasted=wasted)
                 system.restore_state(checkpoint)
                 now = replay_from = trap_at + recovery_latency
                 recoveries += 1
@@ -164,176 +189,11 @@ def run_fast_loop(
                 if checkpoint_every is not None:
                     next_checkpoint = cpu.instret + checkpoint_every
                 # The rollback rewound memory (possibly text), so the
-                # old handler table may be stale; rebuild lazily.
-                table = HandlerTable(system)
+                # old table may be stale; rebuild lazily.
+                table = table_class(system)
                 handlers = table.handlers
                 build = table.build
-                continue
-            trap = iface.pending_trap
-            now = max(now, iface.trap_time)
-            termination = Termination.TRAP
-            break
-
-    return now, trap, termination, error, recoveries, recovery_cycles
-
-
-def run_superblock_loop(
-    system,
-    limit: int,
-    max_cycles: int | None,
-    deadline: float | None,
-    checkpoint_every: int | None,
-    on_checkpoint,
-    recover: bool,
-    recovery_limit: int,
-    recovery_latency: int,
-):
-    """``run_fast_loop`` striding a superblock per dispatch.
-
-    Straight-line runs discovered by
-    :class:`~repro.engine.predecode.SuperblockTable` execute as one
-    fused call; the per-PC path handles everything else — annulled
-    delay slots, blocks that would straddle an instret boundary
-    (watchdog limit, deadline stride, checkpoint), and entry in a
-    delay slot (``npc != pc + 4``).  Check order, error wrapping and
-    cycle arithmetic match the reference loop exactly; the
-    differential and golden tests enforce bit-identity.
-    """
-    from repro.flexcore.system import Termination
-
-    cpu = system.cpu
-    timing = system.core_timing
-    iface = system.interface
-    stop_on_trap = system.config.stop_on_trap
-    stride = system.DEADLINE_STRIDE
-    icache_read = timing.icache.read
-    refill = system.bus.line_refill
-
-    table = SuperblockTable(system)
-    handlers = table.handlers
-    build = table.build
-    blocks = table.blocks
-    block_at = table.block_at
-
-    now = system.now
-    trap = None
-    termination = Termination.HALTED
-    error: SimulationError | None = None
-    recoveries = 0
-    recovery_cycles = 0.0
-
-    max_c = _INFINITY if max_cycles is None else max_cycles
-    next_deadline = (_INFINITY if deadline is None
-                     else cpu.instret + stride)
-    next_checkpoint = (_INFINITY if checkpoint_every is None
-                       else cpu.instret + checkpoint_every)
-    checkpoint: dict | None = None
-    replay_from = now
-    if recover:
-        system.now = now
-        checkpoint = system.snapshot_state()
-
-    while not cpu.halted:
-        instret = cpu.instret
-        if instret >= limit:
-            termination = Termination.INSTRUCTION_LIMIT
-            error = SimulationError(
-                f"instruction limit {limit} exceeded at "
-                f"pc={cpu.pc:#x} — runaway program?",
-                pc=cpu.pc, instret=instret, cycle=int(now),
-            )
-            break
-        if now >= max_c:
-            termination = Termination.CYCLE_LIMIT
-            break
-        if instret >= next_deadline:
-            next_deadline = instret + stride
-            if time.monotonic() >= deadline:
-                termination = Termination.DEADLINE
-                break
-        if instret >= next_checkpoint:
-            next_checkpoint = instret + checkpoint_every
-            system.now = now
-            checkpoint = system.snapshot_state()
-            replay_from = now
-            if on_checkpoint is not None:
-                on_checkpoint(system, checkpoint)
-
-        pc = cpu.pc
-        try:
-            if cpu._annul_next:
-                # Fused annulled delay slot (see ``run_fast_loop``).
-                if pc not in handlers:
-                    build(pc)
-                cpu._annul_next = False
-                npc = cpu.npc
-                cpu.pc = npc
-                cpu.npc = (npc + 4) & MASK32
-                cpu.instret = instret + 1
-                ts = timing.stats
-                ts.instructions += 1
-                inow = int(now)
-                if not icache_read(pc):
-                    done = refill(inow, "core-ifetch")
-                    ts.icache_stall += done - inow
-                    inow = done
-                ts.base_cycles += 1
-                inow += 1
-                ts.cycles = inow
-                timing._pending_load_dest = -1
-                now = inow
-                if iface is not None:
-                    iface.stats.committed += 1
-            else:
-                entry = blocks.get(pc)
-                if entry is None:
-                    entry = block_at(pc)
-                if (entry is not NOBLOCK
-                        and cpu.npc == ((pc + 4) & MASK32)
-                        and entry[0] <= min(limit, next_deadline,
-                                            next_checkpoint) - instret):
-                    now = entry[1](now, max_c)
-                else:
-                    handler = handlers.get(pc)
-                    if handler is None:
-                        handler = build(pc)
-                    now = handler(now)
-        except SimulationError as err:
-            # ``cpu.pc`` is the faulting member's PC: every fused
-            # closure raises before touching pc/instret/timing.
-            cpu._attach_context(err, cpu.pc)
-            if err.cycle is None:
-                err.cycle = int(now)
-            termination = Termination.ERROR
-            error = err
-            break
-        except (MemoryFault, WindowOverflow, WindowUnderflow) as err:
-            wrapped = SimulationError(str(err))
-            cpu._attach_context(wrapped, cpu.pc)
-            wrapped.cycle = int(now)
-            termination = Termination.ERROR
-            error = wrapped
-            break
-
-        if (iface is not None and iface.pending_trap is not None
-                and stop_on_trap):
-            if (recover and checkpoint is not None
-                    and recoveries < recovery_limit):
-                trap_at = max(now, iface.trap_time)
-                wasted = trap_at - replay_from + recovery_latency
-                system.restore_state(checkpoint)
-                now = replay_from = trap_at + recovery_latency
-                recoveries += 1
-                recovery_cycles += wasted
-                if checkpoint_every is not None:
-                    next_checkpoint = cpu.instret + checkpoint_every
-                # The rollback rewound memory (possibly text), so both
-                # the handlers and the fused blocks may be stale.
-                table = SuperblockTable(system)
-                handlers = table.handlers
-                build = table.build
-                blocks = table.blocks
-                block_at = table.block_at
+                annulled = table.annulled
                 continue
             trap = iface.pending_trap
             now = max(now, iface.trap_time)

@@ -220,7 +220,7 @@ class CampaignConfig:
     jobs: int = 1
     #: lockstep batch size for parallel runs: up to this many fault
     #: indices ride one worker dispatch, sharing the worker's golden
-    #: profile, predecoded superblocks and warm-start prefix
+    #: profile, instruction decode memo and warm-start prefix
     #: snapshots.  Results stream back one fault at a time, so retry,
     #: quarantine and journal granularity stay per fault (a batch
     #: that fails mid-way requeues only its unfinished members).
@@ -620,6 +620,8 @@ class Campaign:
             checkpoint_every=instret - base,
             on_checkpoint=grab,
             deadline=deadline,
+            # An alias of "fast"; the benchmark's tracer names this
+            # leg by it (perfbench/tracing.py:run_leg).
             engine="superblock",
         )
         state = captured.get("state")
@@ -750,6 +752,8 @@ class Campaign:
             max_cycles=self._cycle_budget,
             deadline=deadline,
             checkpoint_every=config.checkpoint_every,
+            # An alias of "fast"; the benchmark's tracer names this
+            # leg by it (perfbench/tracing.py:run_leg).
             engine="superblock",
         )
 
@@ -1051,7 +1055,7 @@ class Campaign:
         Each worker rebuilds the campaign once (fork keeps this cheap)
         and runs *lockstep batches* of up to ``config.batch_size``
         indices per dispatch: the members of a batch share the
-        worker's golden profile, predecoded superblocks and chained
+        worker's golden profile, instruction decode memo and chained
         warm-start prefix snapshots, and their results stream back one
         ``part`` at a time.  Per-index seeding makes each result
         independent of the scheduling, so batching never changes the
@@ -1134,7 +1138,7 @@ def _worker_run(index: int) -> FaultResult:
 
 def _worker_run_batch(indices):
     """One lockstep batch: the members share this worker's campaign —
-    hence its golden profile, predecoded superblock tables and chained
+    hence its golden profile, instruction decode memo and chained
     warm-start prefix snapshots — and stream their results back one
     ``part`` at a time, so the parent journals each fault the moment
     it completes."""

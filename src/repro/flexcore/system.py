@@ -11,10 +11,9 @@ of Table IV (the extension keeps up with the core clock);
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 
-from repro.core.executor import CommitRecord, CpuState, SimulationError
+from repro.core.executor import CpuState, SimulationError
 from typing import TYPE_CHECKING
 
 from repro.core.timing import CoreTiming, CoreTimingConfig, CoreTimingStats
@@ -48,13 +47,14 @@ DEFAULT_RECOVERY_LATENCY = 128
 DEFAULT_RECOVERY_LIMIT = 3
 
 #: Valid execution engines.  ``fast`` predecodes each PC into a fused
-#: handler closure (see :mod:`repro.engine`); ``superblock``
-#: additionally fuses straight-line runs so the dispatch loop strides
-#: a basic block at a time; ``reference`` is the original
-#: step/advance/on_commit loop.  Results are bit-identical — the
-#: differential and golden tests enforce it — and both fused engines
-#: silently fall back to the reference loop whenever record hooks or
-#: live telemetry need to observe every commit record.
+#: handler closure (see :mod:`repro.engine`); ``reference`` is the
+#: original step/advance/on_commit path.  ``superblock`` names an
+#: engine that has since been folded into ``fast`` and is accepted as
+#: an alias of it, so old flags, configs and journals stay valid.
+#: Results are bit-identical — the differential and golden tests
+#: enforce it — and the fast engine silently falls back to the
+#: reference path whenever record hooks or live telemetry need to
+#: observe every commit record.
 ENGINES = ("fast", "superblock", "reference")
 
 
@@ -109,7 +109,7 @@ class RunResult:
     cache_stats: dict[str, CacheStats] = field(default_factory=dict)
     #: shared-bus accounting per requester.
     bus_stats: BusStats | None = None
-    #: which loop actually ran ("fast" or "reference").  Deliberately
+    #: which engine actually ran ("fast" or "reference").  Deliberately
     #: excluded from the result fingerprint/digest: digests must be
     #: engine-independent, that is the whole observational contract.
     engine: str = "reference"
@@ -139,9 +139,9 @@ class SystemConfig:
     #: stop the simulation when the extension raises TRAP (the paper's
     #: extensions terminate the program); if False, record and continue.
     stop_on_trap: bool = True
-    #: execution engine: "fast" (predecoded handler loop),
-    #: "superblock" (predecoded + fused straight-line runs) or
-    #: "reference" (original loop).  Bit-identical results any way.
+    #: execution engine: "fast" (predecoded handler closures) or
+    #: "reference" (original step path); "superblock" is an alias of
+    #: "fast".  Bit-identical results any way.
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -306,11 +306,11 @@ class FlexCoreSystem:
         return result
 
     def _fast_loop_supported(self) -> bool:
-        """Whether the fused loop can run without losing observers.
+        """Whether the fast engine can run without losing observers.
 
         Record hooks must see every :class:`CommitRecord`, and live
         telemetry (metrics or a tracer) counts events the fused
-        closures skip, so either forces the reference loop.  The
+        closures skip, so either forces the reference engine.  The
         *results* are bit-identical regardless — this only preserves
         the observers' view.
         """
@@ -359,10 +359,12 @@ class FlexCoreSystem:
         restored timestamp after ``restore_state``), so a snapshot
         restored at cycle N continues bit-exactly.
 
-        ``engine`` overrides the config's engine for this run; the
-        fast engine transparently falls back to the reference loop
-        when hooks or telemetry need every commit record (see
-        :meth:`_fast_loop_supported`).
+        ``engine`` overrides the config's engine for this run
+        (``"superblock"`` runs, and reports, as ``"fast"``); the fast
+        engine transparently falls back to the reference path when
+        hooks or telemetry need every commit record (see
+        :meth:`_fast_loop_supported`).  Both share one run loop,
+        :func:`repro.engine.fastloop.run_loop`.
         """
         if engine is None:
             engine = self.config.engine
@@ -370,6 +372,8 @@ class FlexCoreSystem:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
             )
+        if engine == "superblock":
+            engine = "fast"
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -379,31 +383,19 @@ class FlexCoreSystem:
         core_timing = self.core_timing
         interface = self.interface
 
-        use_fast = (engine in ("fast", "superblock")
-                    and self._fast_loop_supported())
-        if use_fast:
-            if engine == "superblock":
-                from repro.engine.fastloop import (
-                    run_superblock_loop as fused_loop,
-                )
-            else:
-                from repro.engine.fastloop import (
-                    run_fast_loop as fused_loop,
-                )
+        from repro.engine.fastloop import ReferenceTable, run_loop
+        from repro.engine.predecode import HandlerTable
 
-            (now, trap, termination, error, recoveries,
-             recovery_cycles) = fused_loop(
-                self, limit, max_cycles, deadline, checkpoint_every,
-                on_checkpoint, recover, recovery_limit,
-                recovery_latency,
-            )
+        if engine == "fast" and self._fast_loop_supported():
+            table_class = HandlerTable
         else:
-            (now, trap, termination, error, recoveries,
-             recovery_cycles) = self._run_reference_loop(
-                limit, max_cycles, deadline, checkpoint_every,
-                on_checkpoint, recover, recovery_limit,
-                recovery_latency,
-            )
+            engine, table_class = "reference", ReferenceTable
+        (now, trap, termination, error, recoveries,
+         recovery_cycles) = run_loop(
+            self, table_class, limit, max_cycles, deadline,
+            checkpoint_every, on_checkpoint, recover, recovery_limit,
+            recovery_latency,
+        )
 
         # Wait for the co-processor to drain (the EMPTY signal) and
         # the store buffer to flush before declaring the run over.
@@ -447,122 +439,8 @@ class FlexCoreSystem:
                         if interface else None),
             cache_stats=cache_stats,
             bus_stats=self.bus.stats,
-            engine=engine if use_fast else "reference",
+            engine=engine,
         )
-
-    def _run_reference_loop(
-        self,
-        limit: int,
-        max_cycles: int | None,
-        deadline: float | None,
-        checkpoint_every: int | None,
-        on_checkpoint,
-        recover: bool,
-        recovery_limit: int,
-        recovery_latency: int,
-    ):
-        """The original step/advance/on_commit loop (``engine=
-        "reference"``); returns the loop-state tuple the shared
-        ``run_bounded`` tail turns into a :class:`RunResult`."""
-        cpu = self.cpu
-        core_timing = self.core_timing
-        interface = self.interface
-        hooks = self.record_hooks
-        stop_on_trap = self.config.stop_on_trap
-        now: float = self.now
-        trap: MonitorTrap | None = None
-        termination = Termination.HALTED
-        error: SimulationError | None = None
-        next_deadline_check = cpu.instret + self.DEADLINE_STRIDE
-        recoveries = 0
-        recovery_cycles = 0.0
-
-        checkpoint: dict | None = None
-        next_checkpoint: int | None = None
-        #: when the current attempt from `checkpoint` started — equals
-        #: the capture time until a rollback, then the resume time.
-        #: Wasted work is measured from here, not from the capture
-        #: time, so repeated rollbacks to one checkpoint never charge
-        #: an earlier attempt twice.
-        replay_from = now
-        if recover:
-            # The rollback target before the first periodic checkpoint
-            # is the run's entry state.
-            self.now = now
-            checkpoint = self.snapshot_state()
-        if checkpoint_every is not None:
-            next_checkpoint = cpu.instret + checkpoint_every
-
-        while not cpu.halted:
-            if cpu.instret >= limit:
-                termination = Termination.INSTRUCTION_LIMIT
-                error = SimulationError(
-                    f"instruction limit {limit} exceeded at "
-                    f"pc={cpu.pc:#x} — runaway program?",
-                    pc=cpu.pc, instret=cpu.instret, cycle=int(now),
-                )
-                break
-            if max_cycles is not None and now >= max_cycles:
-                termination = Termination.CYCLE_LIMIT
-                break
-            if deadline is not None and cpu.instret >= next_deadline_check:
-                next_deadline_check = cpu.instret + self.DEADLINE_STRIDE
-                if time.monotonic() >= deadline:
-                    termination = Termination.DEADLINE
-                    break
-            if (next_checkpoint is not None
-                    and cpu.instret >= next_checkpoint):
-                next_checkpoint = cpu.instret + checkpoint_every
-                self.now = now
-                checkpoint = self.snapshot_state()
-                replay_from = now
-                if on_checkpoint is not None:
-                    on_checkpoint(self, checkpoint)
-            try:
-                record: CommitRecord = cpu.step()
-                now = core_timing.advance(record, int(now))
-                if interface is not None:
-                    for hook in hooks:
-                        hook(record)
-                    now = interface.on_commit(record, now)
-                    if interface.pending_trap is not None and stop_on_trap:
-                        if (recover and checkpoint is not None
-                                and recoveries < recovery_limit):
-                            # Roll back and re-execute.  The restored
-                            # state predates the trap, so pending_trap
-                            # comes back clear; time keeps moving
-                            # forward — detection, rollback and replay
-                            # all cost real cycles.
-                            trap_at = max(now, interface.trap_time)
-                            wasted = (trap_at - replay_from
-                                      + recovery_latency)
-                            if (self.telemetry is not None
-                                    and self.telemetry.tracer is not None):
-                                self.telemetry.tracer.span(
-                                    trap_at, recovery_latency,
-                                    "monitor", "monitor.rollback",
-                                    wasted=wasted,
-                                )
-                            self.restore_state(checkpoint)
-                            now = replay_from = trap_at + recovery_latency
-                            recoveries += 1
-                            recovery_cycles += wasted
-                            if next_checkpoint is not None:
-                                next_checkpoint = (cpu.instret
-                                                   + checkpoint_every)
-                            continue
-                        trap = interface.pending_trap
-                        now = max(now, interface.trap_time)
-                        termination = Termination.TRAP
-                        break
-            except SimulationError as err:
-                if err.cycle is None:
-                    err.cycle = int(now)
-                termination = Termination.ERROR
-                error = err
-                break
-
-        return now, trap, termination, error, recoveries, recovery_cycles
 
 
 def run_program(
@@ -585,7 +463,7 @@ def run_program(
         result = run_program(program, create_extension("dift"))
         result = run_program(program, SoftErrorCheck(), clock_ratio=0.25)
 
-    ``engine`` selects the execution loop ("fast"/"reference"); the
+    ``engine`` selects the execution engine ("fast"/"reference"); the
     default is the config's engine (``fast`` unless overridden).
     """
     if config is None:

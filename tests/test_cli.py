@@ -61,13 +61,14 @@ class TestRun:
 
     def test_engine_flag_digest_identical(self, source_file, capsys):
         digests = []
-        for engine in ("reference", "fast"):
+        # "superblock" is an accepted alias of the fast engine.
+        for engine in ("reference", "fast", "superblock"):
             assert main(["run", source_file, "--extension", "dift",
                          "--digest", "--engine", engine]) == 0
             out = capsys.readouterr().out
             digests.append([line for line in out.splitlines()
                             if line.startswith("digest")])
-        assert digests[0] and digests[0] == digests[1]
+        assert digests[0] and digests[0] == digests[1] == digests[2]
 
 
 class TestBench:
@@ -77,7 +78,8 @@ class TestBench:
                      "--scale", "0.0625",
                      "--json", str(payload_path)]) == 0
         out = capsys.readouterr().out
-        assert "bit-identical" in out
+        # the exact line the CI perf-smoke job greps for
+        assert "bit-identical across 2 engines" in out
         import json
         payload = json.loads(payload_path.read_text())
         assert payload["digests_match"] is True

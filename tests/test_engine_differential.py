@@ -1,25 +1,29 @@
-"""Differential proof of the fast and superblock engines.
+"""Differential proof of the fast engine.
 
 For any program, extension, and watchdog configuration the fused
-predecoded loop (``engine="fast"``) and the block-compiled loop
-(``engine="superblock"``) must be observationally identical to the
-reference loop: same ``run_digest``, same trap/error strings, same
-termination, same recovery count.  Six layers:
+predecoded handlers (``engine="fast"``) must be observationally
+identical to the reference step path: same ``run_digest``, same
+final memory image, same trap/error strings, same termination, same
+recovery count.  Both engines share one run loop, so these
+layers compare what a committed instruction does, not two copies of
+the loop control:
 
-* a hypothesis property over random programs (ALU/memory/branch mixes,
-  annulled delay slots, undecodable words) under a drawn extension;
+* a hypothesis property over random programs (ALU mixes, word, half
+  and byte loads and stores, annulled delay slots, undecodable words)
+  under a drawn extension, each spilling its registers to memory;
 * the full paper matrix — six workloads under every shipped extension
   including the MDL-compiled specs — at the experiment configuration;
-* mid-run checkpoint/restore and rollback recovery under each fused
-  engine, including restoring a fused-engine snapshot into a
-  reference-loop run;
-* directed superblock adversaries: self-modifying stores that patch a
-  compiled block from inside it, traps raised mid-block, and
-  checkpoint boundaries landing inside a block;
+* mid-run checkpoint/restore and rollback recovery, including
+  restoring a fast-engine snapshot into a reference run, and the
+  run loop's rollback span under a tracer;
+* directed handler-invalidation adversaries: self-modifying stores
+  that patch a straight-line run from inside it, traps raised
+  mid-run, and checkpoint boundaries landing mid-run;
 * interface configurations that drive every branch of the shared
   forward path: tiny FIFOs (full stalls), best-effort drops, ack
-  stalls, the meta-data TLB, fabric-side decode and a 1X fabric;
-* the fault models that run on the fused engines (``fifo-drop`` and
+  stalls, the meta-data TLB, fabric-side decode, a 1X fabric, and
+  forwarded branches and calls;
+* the fault models that run on the fast engine (``fifo-drop`` and
   ``lut-config``), one armed fault each.
 """
 
@@ -35,10 +39,15 @@ from repro.evaluation.config import (
 from repro.extensions import EXTENSION_NAMES, create_extension
 from repro.faultinject.models import FaultSpec, create_model
 from repro.flexcore.cfgr import ForwardPolicy
-from repro.flexcore.system import FlexCoreSystem
+from repro.flexcore.system import (
+    DEFAULT_RECOVERY_LATENCY,
+    FlexCoreSystem,
+    SystemConfig,
+)
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import MEMORY_CLASSES, InstrClass
 from repro.mdl import load_spec, shipped_specs
+from repro.telemetry import Telemetry
 from repro.telemetry.summary import result_fingerprint, run_digest
 from repro.workloads import build_workload, workload_names
 
@@ -93,6 +102,9 @@ def _assert_identical(reference, fast):
     assert reference.engine == "reference"
     assert result_fingerprint(fast) == result_fingerprint(reference)
     assert run_digest(fast) == run_digest(reference)
+    # The digest covers timing only; values must match too.
+    assert (fast.memory.snapshot_state()
+            == reference.memory.snapshot_state())
     assert str(fast.trap) == str(reference.trap)
     assert str(fast.error) == str(reference.error)
     assert fast.termination == reference.termination
@@ -113,8 +125,16 @@ _ALU = st.tuples(
               st.integers(-4096, 4095).map(lambda i: ("imm", i))),
     _REG_INDEX,
 )
-_STORE = st.tuples(st.just("st"), _REG_INDEX, _BUF_OFFSET)
-_LOAD = st.tuples(st.just("ld"), _BUF_OFFSET, _REG_INDEX)
+#: word, half and byte accesses (sign- and zero-extending loads), each
+#: fused closure variant; the low offset bits are masked to the
+#: access size so every access stays aligned.
+_SUBWORD_MASK = {"st": 0, "sth": 2, "stb": 3,
+                 "ld": 0, "lduh": 2, "ldsh": 2, "ldub": 3, "ldsb": 3}
+_STORE = st.tuples(st.just("st"), st.sampled_from(("st", "sth", "stb")),
+                   _REG_INDEX, _BUF_OFFSET, st.integers(0, 3))
+_LOAD = st.tuples(st.just("ld"),
+                  st.sampled_from(("ld", "lduh", "ldsh", "ldub", "ldsb")),
+                  _BUF_OFFSET, _REG_INDEX, st.integers(0, 3))
 #: compare-and-skip with an annulled delay slot: exercises the fused
 #: branch handler's annul path both taken and untaken.
 _SKIP = st.tuples(st.just("skip"), _REG_INDEX, _REG_INDEX)
@@ -153,12 +173,14 @@ def _emit(seeds, ops, loops, bad_tail):
             lines.append(f"        {mnemonic:7s} {REGS[rs1]}, "
                          f"{operand}, {REGS[rd]}")
         elif kind == "st":
-            _, rs, offset = op
-            lines.append(f"        st      {REGS[rs]}, "
+            _, mnemonic, rs, offset, low = op
+            offset += low & _SUBWORD_MASK[mnemonic]
+            lines.append(f"        {mnemonic:7s} {REGS[rs]}, "
                          f"[%g4 + {offset}]")
         elif kind == "ld":
-            _, offset, rd = op
-            lines.append(f"        ld      [%g4 + {offset}], "
+            _, mnemonic, offset, rd, low = op
+            offset += low & _SUBWORD_MASK[mnemonic]
+            lines.append(f"        {mnemonic:7s} [%g4 + {offset}], "
                          f"{REGS[rd]}")
         else:
             _, rs1, rs2 = op
@@ -173,15 +195,25 @@ def _emit(seeds, ops, loops, bad_tail):
         "        bne     loop",
         "        nop",
     ]
+    # Spill every register the generator writes, so a wrong value
+    # shows in the final memory image even if it never reached a
+    # store or a branch.
+    for index, reg in enumerate(REGS):
+        lines.append(f"        st      {reg}, [%g4 + {64 + 4 * index}]")
     if bad_tail:
         lines.append("        .word   0x00000000")
     else:
         lines += ["        ta      0", "        nop"]
-    lines += ["        .data", "buf:    .space  64"]
+    # Seed the buffer with bytes on both sides of every sign bit, so
+    # sub-word loads of never-stored locations sign-extend too.
+    lines += ["        .data", "buf:"]
+    lines += ["        .word   0x80ff7f01, 0x017f80ff, 0xfedcba98,"
+              " 0x00008000"] * 4
+    lines.append(f"        .space  {4 * len(REGS)}")
     return assemble("\n".join(lines), entry="start")
 
 
-FUSED_ENGINES = ("fast", "superblock")
+FUSED_ENGINES = ("fast",)
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,7 +257,7 @@ def test_paper_workloads_bit_identical(workload, extension):
 
 
 # ---------------------------------------------------------------------------
-# Layer 3: checkpoint/restore and recovery under the fused engines.
+# Layer 3: checkpoint/restore and recovery.
 
 
 @pytest.mark.parametrize("engine", FUSED_ENGINES)
@@ -282,8 +314,30 @@ def test_rollback_recovery_bit_identical(engine):
     _assert_identical(reference, fused)
 
 
+def test_rollback_span_per_recovery_under_tracer():
+    """A tracer forces the reference step through the shared loop;
+    its rollback branch records one ``monitor.rollback`` span per
+    recovery, and the traced run still matches the untraced fast
+    run's digest and recovery count."""
+    program = assemble(_TRAPPING_SOURCE, entry="start")
+    kwargs = dict(checkpoint_every=2, recover=True, recovery_limit=3)
+    fast = _run_one(program, "umc", "fast", **kwargs)
+    assert fast.engine == "fast"
+
+    telemetry = Telemetry.enabled(trace=True)
+    system = FlexCoreSystem(program, create_extension("umc"),
+                            telemetry=telemetry)
+    traced = system.run_bounded(engine="fast", **kwargs)
+    assert traced.engine == "reference"
+    spans = [event for event in telemetry.tracer.events()
+             if event.name == "monitor.rollback"]
+    assert len(spans) == traced.recoveries == fast.recoveries > 0
+    assert all(span.dur == DEFAULT_RECOVERY_LATENCY for span in spans)
+    assert run_digest(traced) == run_digest(fast)
+
+
 # ---------------------------------------------------------------------------
-# Layer 4: directed superblock adversaries.
+# Layer 4: directed handler-invalidation adversaries.
 
 
 def _patch_word(source: str) -> int:
@@ -306,7 +360,7 @@ target:
         add     %g3, 1, %g3        ! ...the word the store rewrites
         add     %g3, 3, %o0
         xor     %o0, %g3, %o1
-        st      %g1, [%g2]         ! patch the block we are inside
+        st      %g1, [%g2]         ! patch the run we are inside
         subcc   %g5, 1, %g5
         bne     loop
         nop
@@ -320,10 +374,10 @@ patch_word:
 
 @pytest.mark.parametrize("extension", (None, "umc", "dift"))
 def test_self_modifying_store_inside_own_block(extension):
-    """A store whose target word belongs to an already-compiled
-    superblock — the very block being executed — must invalidate it;
-    the patched instruction takes effect on the next loop iteration
-    exactly as in the reference."""
+    """A store whose target word already has a predecoded handler —
+    inside the very straight-line run being executed — must
+    invalidate it; the patched instruction takes effect on the next
+    loop iteration exactly as in the reference."""
     word = _patch_word("add     %g3, 2, %g3")
     program = assemble(
         _SELF_MODIFYING_TEMPLATE.format(word=word), entry="start")
@@ -342,7 +396,7 @@ start:
         mov     7, %g2
         st      %g2, [%g1]
         add     %g2, 1, %g3        ! straight-line run: the trapping
-        add     %g3, 1, %g4        ! load sits mid-block, with live
+        add     %g3, 1, %g4        ! load sits mid-run, with live
         ld      [%g1 + 8], %g5     ! members after it (UMC trap here)
         add     %g5, 1, %g6
         add     %g6, 1, %o0
@@ -352,9 +406,9 @@ start:
 
 
 def test_trap_raised_mid_block_stops_identically():
-    """A monitor trap latched by a non-terminal member must stop the
-    block immediately — the members after it never execute, matching
-    the reference loop's per-instruction trap check."""
+    """A monitor trap latched mid-run must stop the run immediately —
+    the instructions after it never execute, matching the reference
+    engine's per-instruction trap check."""
     program = assemble(_MIDBLOCK_TRAP_SOURCE, entry="start")
     reference = _run_one(program, "umc", "reference")
     assert reference.trap is not None
@@ -366,9 +420,8 @@ def test_trap_raised_mid_block_stops_identically():
 
 @pytest.mark.parametrize("engine", FUSED_ENGINES)
 def test_checkpoint_boundary_inside_block_bit_identical(engine):
-    """A checkpoint stride that keeps landing mid-block (prime, and
-    small) forces the dispatcher to decline block entry near every
-    boundary; both the captured snapshot states and the final result
+    """A checkpoint stride that keeps landing mid-run (prime, and
+    small): both the captured snapshot states and the final result
     must equal the reference's."""
     program = build_workload("bitcount", 0.0625).build()
 
@@ -392,21 +445,43 @@ def test_checkpoint_boundary_inside_block_bit_identical(engine):
 
 def test_record_hooks_fall_back_to_reference_loop():
     """A commit-record observer must see every record, so requesting
-    a fused engine silently runs the reference loop — with, still,
-    an identical digest."""
+    the fast engine silently runs the reference engine — with, still,
+    an identical digest.  ``superblock`` is an alias of ``fast``,
+    whether passed per run or set in the config: it falls back the
+    same way, and without hooks it runs, and reports, the fast
+    engine.  An unknown engine name is refused."""
     program = build_workload("bitcount", 0.125).build()
 
     fast = _run_one(program, "dift", "fast")
     assert fast.engine == "fast"
 
-    seen = []
-    system = FlexCoreSystem(program, create_extension("dift"))
-    system.record_hooks.append(lambda record: seen.append(record))
-    hooked = system.run_bounded(engine="fast")
-    assert hooked.engine == "reference"
-    assert len(seen) == hooked.instructions
-    assert result_fingerprint(hooked) == result_fingerprint(fast)
-    assert run_digest(hooked) == run_digest(fast)
+    def system_for(config_engine):
+        return FlexCoreSystem(program, create_extension("dift"),
+                              SystemConfig(engine=config_engine))
+
+    # (engine passed to run_bounded, SystemConfig.engine)
+    for run_engine, config_engine in (("fast", "fast"),
+                                      ("superblock", "fast"),
+                                      (None, "superblock")):
+        seen = []
+        system = system_for(config_engine)
+        system.record_hooks.append(lambda record: seen.append(record))
+        hooked = system.run_bounded(engine=run_engine)
+        assert hooked.engine == "reference"
+        assert len(seen) == hooked.instructions
+        assert result_fingerprint(hooked) == result_fingerprint(fast)
+        assert run_digest(hooked) == run_digest(fast)
+
+    for run_engine, config_engine in (("superblock", "fast"),
+                                      (None, "superblock")):
+        alias = system_for(config_engine).run_bounded(engine=run_engine)
+        assert alias.engine == "fast"
+        assert run_digest(alias) == run_digest(fast)
+
+    with pytest.raises(ValueError, match="engine must be one of"):
+        system_for("fast").run_bounded(engine="turbo")
+    with pytest.raises(ValueError, match="engine must be one of"):
+        SystemConfig(engine="turbo")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +497,17 @@ def _best_effort_memory(system):
                                       ForwardPolicy.BEST_EFFORT)
 
 
+def _forward_control_flow(system):
+    system.interface.cfgr.set_classes(
+        (InstrClass.BRANCH, InstrClass.CALL), ForwardPolicy.ALWAYS)
+
+
+def _forwarded_control_flow(result):
+    by_class = result.interface_stats.forwarded_by_class
+    return (by_class.get(InstrClass.BRANCH, 0)
+            + by_class.get(InstrClass.CALL, 0))
+
+
 def _iface(counter):
     return lambda result: getattr(result.interface_stats, counter)
 
@@ -433,7 +519,9 @@ def _tlb_walks(result):
 #: name -> (InterfaceConfig overrides, system tweak or None, a probe
 #: the setting must drive above zero on some reference run, so each
 #: case provably takes its branch).  Decode penalty and a 1X clock
-#: change the fabric timing of every forwarded packet.
+#: change the fabric timing of every forwarded packet; forwarding
+#: branches and calls reaches the fused closures no shipped monitor
+#: forwards.
 INTERFACE_SETTINGS = {
     "fifo-depth-1": ({"fifo_depth": 1}, None, _iface("fifo_stall_cycles")),
     "fifo-depth-2": ({"fifo_depth": 2}, None, _iface("fifo_stall_cycles")),
@@ -444,6 +532,8 @@ INTERFACE_SETTINGS = {
     "meta-tlb-4": ({"meta_tlb_entries": 4}, None, _tlb_walks),
     "no-predecode": ({"predecode": False}, None, _iface("forwarded")),
     "clock-ratio-1": ({"clock_ratio": 1.0}, None, _iface("forwarded")),
+    "forward-control-flow": ({}, _forward_control_flow,
+                             _forwarded_control_flow),
 }
 
 

@@ -450,7 +450,14 @@ class TestServerEndToEnd:
                 client.wait(response["job_id"], deadline=60)
                 second = client.result(
                     response["job_id"])["document"]
-        assert first == second
+                # "superblock" is an accepted alias of the fast
+                # engine: same digest, and the document says "fast".
+                response = client.submit(
+                    "run", {**spec, "engine": "superblock"})
+                client.wait(response["job_id"], deadline=60)
+                alias = client.result(response["job_id"])["document"]
+        assert first == second == alias
+        assert json.loads(alias)["engine"] == "fast"
 
 
 class TestSloTracker:
