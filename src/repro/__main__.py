@@ -1015,7 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument(
         "--metrics", action="store_true",
-        help="run with the metrics registry enabled and dump it",
+        help="publish the run's stats as metrics at run end and dump "
+             "them",
     )
     run_cmd.add_argument(
         "--digest", action="store_true",
@@ -1024,8 +1025,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--engine", choices=ENGINES,
         default=None,
-        help="execution engine (default fast; superblock is an alias "
-             "of fast; all are bit-identical)",
+        help="execution engine (default fast, with or without "
+             "--metrics; superblock is an alias of fast; all are "
+             "bit-identical)",
     )
     run_cmd.set_defaults(handler=cmd_run)
 

@@ -161,20 +161,6 @@ class CpuState:
         self.regs.write(14, stack_top)
         self.regs.write(30, stack_top)
         self._decode_cache: dict[int, Instruction] = {}
-        # Telemetry counters (attach_telemetry); None = disabled, and
-        # both guards live off the per-instruction fast path.
-        self._m_decode_miss = None
-        self._m_annulled = None
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Wire a :class:`repro.telemetry.Telemetry` bundle in."""
-        if telemetry.metrics.enabled:
-            self._m_decode_miss = telemetry.metrics.counter(
-                "core.decode_cache_misses"
-            )
-            self._m_annulled = telemetry.metrics.counter(
-                "core.annulled_slots"
-            )
 
     # ------------------------------------------------------------------
     # Snapshot/restore (crash-safe checkpointing).  The decode cache is
@@ -225,13 +211,9 @@ class CpuState:
             if instr is None:
                 instr = decode(word)
                 self._decode_cache[word] = instr
-                if self._m_decode_miss is not None:
-                    self._m_decode_miss.inc()
 
             if self._annul_next:
                 self._annul_next = False
-                if self._m_annulled is not None:
-                    self._m_annulled.inc()
                 record = CommitRecord(
                     pc=pc, word=word, instr=instr,
                     instr_class=instr.instr_class, annulled=True,

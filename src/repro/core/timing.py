@@ -111,30 +111,9 @@ class CoreTiming:
         # load-use interlock (the data cache delivers in the memory
         # stage, one stage after the ALU consumes operands).
         self._pending_load_dest = -1
-        # Telemetry sinks, resolved once so the hot path pays only a
-        # None check (and nothing at all on the hit path).
+        # Tracer, resolved once so the hot path pays only a None
+        # check (and nothing at all on the hit path).
         self._tracer = telemetry.tracer if telemetry is not None else None
-        metrics = (telemetry.metrics
-                   if telemetry is not None and telemetry.metrics.enabled
-                   else None)
-        if metrics is not None:
-            self._m_instructions = metrics.counter("core.instructions")
-            self._m_icache_refill = metrics.counter(
-                "core.icache_refill_cycles"
-            )
-            self._m_dcache_refill = metrics.counter(
-                "core.dcache_refill_cycles"
-            )
-            self._m_store_stall = metrics.counter(
-                "core.store_stall_cycles"
-            )
-            self._m_interlock = metrics.counter("core.interlock_stalls")
-        else:
-            self._m_instructions = None
-            self._m_icache_refill = None
-            self._m_dcache_refill = None
-            self._m_store_stall = None
-            self._m_interlock = None
 
     # ------------------------------------------------------------------
     # Snapshot/restore (crash-safe checkpointing).  The shared bus is
@@ -160,8 +139,6 @@ class CoreTiming:
         """Charge one committed instruction starting at time ``now``."""
         stats = self.stats
         stats.instructions += 1
-        if self._m_instructions is not None:
-            self._m_instructions.inc()
 
         # Instruction fetch.
         if not self.icache.read(record.pc):
@@ -170,8 +147,6 @@ class CoreTiming:
             if self._tracer is not None:
                 self._tracer.span(now, done - now, "core",
                                   "stall.icache_refill", pc=record.pc)
-            if self._m_icache_refill is not None:
-                self._m_icache_refill.inc(done - now)
             now = done
 
         if record.annulled:
@@ -193,8 +168,6 @@ class CoreTiming:
             if uses:
                 base += 1
                 stats.interlock_stall += 1
-                if self._m_interlock is not None:
-                    self._m_interlock.inc()
         self._pending_load_dest = record.dest_phys if record.is_load else -1
 
         stats.base_cycles += base
@@ -208,8 +181,6 @@ class CoreTiming:
                     self._tracer.span(now, done - now, "core",
                                       "stall.dcache_refill",
                                       pc=record.pc, addr=record.addr)
-                if self._m_dcache_refill is not None:
-                    self._m_dcache_refill.inc(done - now)
                 now = done
             if record.instr.opcode == Op3Mem.LDD:
                 self.dcache.read(record.addr + 4)
@@ -217,20 +188,14 @@ class CoreTiming:
             self.dcache.write(record.addr)
             proceed = self.store_buffer.push(now)
             stats.store_stall += proceed - now
-            if proceed > now:
-                if self._tracer is not None:
-                    self._tracer.span(now, proceed - now, "core",
-                                      "stall.store_buffer",
-                                      pc=record.pc)
-                if self._m_store_stall is not None:
-                    self._m_store_stall.inc(proceed - now)
+            if proceed > now and self._tracer is not None:
+                self._tracer.span(now, proceed - now, "core",
+                                  "stall.store_buffer", pc=record.pc)
             now = proceed
             if record.instr.opcode == Op3Mem.STD:
                 self.dcache.write(record.addr + 4)
                 proceed = self.store_buffer.push(now)
                 stats.store_stall += proceed - now
-                if proceed > now and self._m_store_stall is not None:
-                    self._m_store_stall.inc(proceed - now)
                 now = proceed
 
         stats.cycles = now

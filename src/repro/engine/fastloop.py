@@ -21,9 +21,10 @@ when the pending delay slot is annulled:
 
 Which table runs is decided by ``FlexCoreSystem.run_bounded``
 (:meth:`~repro.flexcore.system.FlexCoreSystem._fast_loop_supported`):
-record hooks or live telemetry force the reference table, because
-hooks see every ``CommitRecord`` and tracers/metrics observe events
-the fused closures deliberately skip.
+record hooks or a tracer force the reference table, because hooks see
+every ``CommitRecord`` and a tracer records events the fused closures
+deliberately skip.  Metrics do not: ``run_bounded`` publishes them
+from the stats once the loop returns.
 """
 
 from __future__ import annotations

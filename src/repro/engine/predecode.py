@@ -602,9 +602,10 @@ class HandlerTable:
 
     def _make_forward(self, pc, word, instr, klass):
         """Fused equivalent of ``on_commit`` + ``from_commit`` for a
-        known-forwarded, never-annulled instruction.  Telemetry sinks
-        are structurally ``None`` here: the fast engine only runs
-        with tracing and metrics disabled."""
+        known-forwarded, never-annulled instruction.  The tracer is
+        structurally ``None`` here: the fast engine only runs with
+        tracing disabled, and metrics come from the stats at run
+        end."""
         iface = self.system.interface
         policy = iface.cfgr.policy(klass)
         best_effort = policy == ForwardPolicy.BEST_EFFORT

@@ -106,12 +106,14 @@ class SweepOutcome:
 
 
 def run_point(point: SweepPoint, engine: str | None = None,
-              workload=None) -> SweepOutcome:
+              workload=None, telemetry=None) -> SweepOutcome:
     """Simulate one grid point and distil its outcome.
 
     ``workload`` lets callers share one built
     :class:`~repro.workloads.Workload` across points that only vary
     the monitor configuration (assembly is pure, so this is safe).
+    ``telemetry`` is handed to the system (it never changes the
+    outcome).
     """
     from repro.flexcore.system import FlexCoreSystem
 
@@ -127,7 +129,8 @@ def run_point(point: SweepPoint, engine: str | None = None,
     extension = (
         create_extension(point.extension) if point.extension else None
     )
-    system = FlexCoreSystem(workload.build(), extension, config)
+    system = FlexCoreSystem(workload.build(), extension, config,
+                            telemetry=telemetry)
     result = system.run(engine=engine)
     if result.word(workload.checksum_symbol) != workload.expected_checksum:
         raise AssertionError(

@@ -36,20 +36,18 @@ class DecouplingFifo:
         # Telemetry sinks (None = disabled, the zero-overhead default).
         self._tracer = None
         self._h_occupancy = None
-        self._g_high_water = None
 
     def attach_telemetry(self, telemetry) -> None:
-        """Wire a :class:`repro.telemetry.Telemetry` bundle in."""
+        """Wire a :class:`repro.telemetry.Telemetry` bundle in.  The
+        occupancy histogram rides on the tracer: stats cannot give a
+        distribution, and traced runs already pay per push."""
         self._tracer = telemetry.tracer
-        if telemetry.metrics.enabled:
+        if self._tracer is not None:
             occupancy_buckets = tuple(
                 1 << i for i in range(max(1, self.depth.bit_length()))
             )
             self._h_occupancy = telemetry.metrics.histogram(
                 "fifo.occupancy", buckets=occupancy_buckets
-            )
-            self._g_high_water = telemetry.metrics.gauge(
-                "fifo.high_water"
             )
 
     # Each method below retires the packets drained by ``now`` in one
@@ -104,9 +102,7 @@ class DecouplingFifo:
             tracer.instant(now, "fifo", "fifo.push", drain=drain_time)
             tracer.instant(drain_time, "fifo", "fifo.pop")
             tracer.counter(now, "fifo", "fifo.occupancy", occupancy)
-        if self._h_occupancy is not None:
             self._h_occupancy.observe(occupancy)
-            self._g_high_water.track_max(occupancy)
 
     def drained_by(self) -> int:
         """Time at which the FIFO is empty (EMPTY signal asserts)."""

@@ -150,36 +150,19 @@ class CoreFabricInterface:
         self.bfifo_value = 0
         # Meta-data TLB: fully-associative over 4-KB meta pages.
         self._tlb: list[int] = []
-        # Telemetry sinks, resolved once; every use sits inside a
-        # branch the interface takes anyway (forward/drop/stall), so
-        # the disabled default costs one None check per event at most.
+        # Tracer, resolved once; every use sits inside a branch the
+        # interface takes anyway (forward/drop/stall), so the disabled
+        # default costs one None check per event at most.  The packet
+        # latency histogram rides on it: stats cannot give a
+        # distribution, and traced runs already pay per packet.
         self._tracer = telemetry.tracer if telemetry is not None else None
-        metrics = (telemetry.metrics
-                   if telemetry is not None and telemetry.metrics.enabled
-                   else None)
         if telemetry is not None:
             self.fifo.attach_telemetry(telemetry)
-        if metrics is not None:
-            self._m_forwarded = metrics.counter("iface.forwarded")
-            self._m_ignored = metrics.counter("iface.ignored")
-            self._m_dropped = metrics.counter("iface.dropped")
-            self._m_fifo_stall = metrics.counter(
-                "iface.fifo_stall_cycles"
-            )
-            self._m_ack_stall = metrics.counter("iface.ack_stall_cycles")
-            self._m_meta_refill = metrics.counter("mcache.refill_cycles")
-            self._h_service = metrics.histogram(
+        if self._tracer is not None:
+            self._h_service = telemetry.metrics.histogram(
                 "fabric.packet_latency",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
             )
-        else:
-            self._m_forwarded = None
-            self._m_ignored = None
-            self._m_dropped = None
-            self._m_fifo_stall = None
-            self._m_ack_stall = None
-            self._m_meta_refill = None
-            self._h_service = None
 
     # ------------------------------------------------------------------
 
@@ -218,8 +201,6 @@ class CoreFabricInterface:
                         self._tracer.span(time, done - time, "mcache",
                                           "mcache.refill",
                                           addr=access.addr)
-                    if self._m_meta_refill is not None:
-                        self._m_meta_refill.inc(done - time)
                     time = done
             else:
                 self.meta_cache.write_bits(access.addr, access.mask)
@@ -271,8 +252,6 @@ class CoreFabricInterface:
         policy = self.cfgr.policy(instr_class)
         if policy == _IGNORE:
             stats.ignored += 1
-            if self._m_ignored is not None:
-                self._m_ignored.inc()
             return now
 
         # The "read from co-processor" instruction always needs the
@@ -291,8 +270,6 @@ class CoreFabricInterface:
                 if self._tracer is not None:
                     self._tracer.instant(now, "fifo", "fifo.drop",
                                          pc=record.pc)
-                if self._m_dropped is not None:
-                    self._m_dropped.inc()
                 return now
             wait = self.fifo.time_until_space(now)
             stats.fifo_stall_cycles += wait
@@ -300,8 +277,6 @@ class CoreFabricInterface:
             if self._tracer is not None:
                 self._tracer.span(now, wait, "core", "stall.fifo_full",
                                   pc=record.pc)
-            if self._m_fifo_stall is not None:
-                self._m_fifo_stall.inc(wait)
             now += wait
 
         packet = TracePacket.from_commit(record)
@@ -311,14 +286,12 @@ class CoreFabricInterface:
         )
         drain = self._service(packet, now)
         self.fifo.push(now, drain)
-        if self._m_forwarded is not None:
-            self._m_forwarded.inc()
-            self._h_service.observe(drain - now)
         if self._tracer is not None:
             # Packet lifecycle: enqueue at commit, serviced at drain.
             self._tracer.span(now, drain - now, "fabric",
                               f"packet.{instr_class.name.lower()}",
                               pc=record.pc)
+            self._h_service.observe(drain - now)
 
         if needs_ack:
             # CACK comes back through a synchroniser as well.
@@ -327,8 +300,6 @@ class CoreFabricInterface:
             if self._tracer is not None:
                 self._tracer.span(now, ack_at - now, "core",
                                   "stall.ack", pc=record.pc)
-            if self._m_ack_stall is not None:
-                self._m_ack_stall.inc(ack_at - now)
             now = ack_at
         return now
 

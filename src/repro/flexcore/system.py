@@ -27,6 +27,7 @@ from repro.isa.assembler import Program
 from repro.memory.backing import SparseMemory
 from repro.memory.bus import BusStats, SharedBus
 from repro.memory.cache import CacheStats
+from repro.telemetry.summary import publish_metrics
 
 if TYPE_CHECKING:
     from repro.extensions.base import MonitorExtension, MonitorTrap
@@ -53,8 +54,9 @@ DEFAULT_RECOVERY_LIMIT = 3
 #: an alias of it, so old flags, configs and journals stay valid.
 #: Results are bit-identical — the differential and golden tests
 #: enforce it — and the fast engine silently falls back to the
-#: reference path whenever record hooks or live telemetry need to
-#: observe every commit record.
+#: reference path whenever record hooks or a tracer need to observe
+#: every commit record.  Metrics alone keep the fast engine: they are
+#: published from the run's stats when it ends.
 ENGINES = ("fast", "superblock", "reference")
 
 
@@ -193,8 +195,6 @@ class FlexCoreSystem:
             nwindows=self.config.nwindows,
             stack_top=self.config.stack_top,
         )
-        if telemetry is not None:
-            self.cpu.attach_telemetry(telemetry)
         self.core_timing = CoreTiming(self.config.core, self.bus,
                                       telemetry=telemetry)
         self.extension = extension
@@ -308,17 +308,15 @@ class FlexCoreSystem:
     def _fast_loop_supported(self) -> bool:
         """Whether the fast engine can run without losing observers.
 
-        Record hooks must see every :class:`CommitRecord`, and live
-        telemetry (metrics or a tracer) counts events the fused
-        closures skip, so either forces the reference engine.  The
-        *results* are bit-identical regardless — this only preserves
-        the observers' view.
+        Record hooks must see every :class:`CommitRecord`, and a
+        tracer records events the fused closures skip, so either
+        forces the reference engine.  Metrics do not: they are
+        published from the stats when the run ends.  The *results*
+        are bit-identical regardless — this only preserves the
+        observers' view.
         """
-        if self.record_hooks:
-            return False
-        telemetry = self.telemetry
-        return telemetry is None or (
-            telemetry.tracer is None and not telemetry.metrics.enabled
+        return not self.record_hooks and (
+            self.telemetry is None or self.telemetry.tracer is None
         )
 
     #: check the wall-clock deadline every this many instructions.
@@ -362,9 +360,11 @@ class FlexCoreSystem:
         ``engine`` overrides the config's engine for this run
         (``"superblock"`` runs, and reports, as ``"fast"``); the fast
         engine transparently falls back to the reference path when
-        hooks or telemetry need every commit record (see
+        hooks or a tracer need every commit record (see
         :meth:`_fast_loop_supported`).  Both share one run loop,
-        :func:`repro.engine.fastloop.run_loop`.
+        :func:`repro.engine.fastloop.run_loop`.  With live metrics,
+        the finished result's stats are published once, as gauges
+        (:func:`~repro.telemetry.summary.publish_metrics`).
         """
         if engine is None:
             engine = self.config.engine
@@ -414,14 +414,8 @@ class FlexCoreSystem:
         }
         if interface is not None:
             cache_stats["mcache"] = interface.meta_cache.stats
-        if (self.telemetry is not None
-                and self.telemetry.metrics.enabled):
-            metrics = self.telemetry.metrics
-            metrics.gauge("system.cycles").set(int(now))
-            metrics.gauge("system.instructions").set(cpu.instret)
-            metrics.counter("system.rollbacks").inc(recoveries)
 
-        return RunResult(
+        result = RunResult(
             cycles=int(now),
             instructions=cpu.instret,
             halted=cpu.halted,
@@ -441,6 +435,9 @@ class FlexCoreSystem:
             bus_stats=self.bus.stats,
             engine=engine,
         )
+        if self.telemetry is not None and self.telemetry.metrics.enabled:
+            publish_metrics(result, self.telemetry.metrics)
+        return result
 
 
 def run_program(

@@ -64,20 +64,13 @@ class SharedBus:
         self.config = config or BusConfig()
         self.busy_until = 0
         self.stats = BusStats()
-        # Telemetry sinks (None = disabled, the zero-overhead default;
-        # the only cost then is one None check per transaction).
+        # Tracer (None = disabled, the zero-overhead default; the only
+        # cost then is one None check per transaction).
         self._tracer = None
-        self._metrics = None
-        self._m_wait = None
 
     def attach_telemetry(self, telemetry) -> None:
         """Wire a :class:`repro.telemetry.Telemetry` bundle in."""
         self._tracer = telemetry.tracer
-        if telemetry.metrics.enabled:
-            self._metrics = telemetry.metrics
-            self._m_wait = telemetry.metrics.counter(
-                "bus.arbitration_wait"
-            )
 
     def acquire(self, now: int, duration: int, who: str) -> int:
         """Occupy the bus for ``duration`` cycles starting no earlier
@@ -88,9 +81,6 @@ class SharedBus:
         if self._tracer is not None:
             self._tracer.span(start, duration, "bus", f"bus.{who}",
                               wait=start - now)
-        if self._metrics is not None:
-            self._m_wait.inc(start - now)
-            self._metrics.counter(f"bus.grants.{who}").inc()
         return self.busy_until
 
     # Convenience wrappers -------------------------------------------------

@@ -1,23 +1,28 @@
 """Near-zero-overhead metrics registry.
 
-One instrumentation API for every layer of the simulator: counters,
-gauges and fixed-bucket histograms, keyed by hierarchical dotted names
-(``fifo.occupancy``, ``bus.wait.core-dcache``, ``mcache.refill_cycles``).
+One registry API for the simulator, the campaigns and the job
+service: counters, gauges and fixed-bucket histograms, keyed by
+hierarchical dotted names (``core.icache_stall``,
+``bus.wait_cycles.core-dcache``, ``fifo.occupancy``).
 
-The design goal is that *disabled* telemetry costs nothing measurable:
+Simulator metrics cost nothing per simulated event.  The timing
+model already keeps its stats (core, interface, FIFO, caches, bus);
+:func:`repro.telemetry.summary.publish_metrics` sets one gauge per
+stats field once, when the run ends, so a metrics-on run executes
+exactly the code a metrics-off run does, fused engine included.
+What stats cannot give stays per event, and only where it is cheap
+or already paid for:
 
-* components are wired with ``telemetry=None`` by default and guard
-  every instrumentation site with a single ``is not None`` check that
-  lives inside branches the timing model already takes (miss paths,
-  stall paths), never on the per-instruction fast path;
-* for code that wants to hold an instrument unconditionally,
-  :data:`NULL_METRICS` hands out shared no-op instruments, so the call
-  site stays branch-free and the no-op method is the only cost.
+* ``monitor.<ext>.traps.<kind>`` counts each monitor trap as it is
+  raised;
+* the ``fifo.occupancy`` and ``fabric.packet_latency`` histograms
+  are observed only inside the tracer's branches, on traced runs.
 
-Instruments are interned by name: asking the registry twice for
-``fifo.pushes`` returns the same :class:`Counter`, which is what lets
-hot paths resolve instruments once at construction time and then touch
-only plain attribute increments.
+For code that wants to hold an instrument unconditionally,
+:data:`NULL_METRICS` hands out shared no-op instruments, so the call
+site stays branch-free and the no-op method is the only cost.
+Instruments are interned by name: asking the registry twice for the
+same name returns the same instrument.
 """
 
 from __future__ import annotations

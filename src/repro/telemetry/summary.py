@@ -1,5 +1,5 @@
 """Run-level reporting: cycle attribution, the ``--stats`` screen,
-and the canonical :class:`RunResult` digest.
+the canonical :class:`RunResult` digest and the run-end metrics.
 
 The attribution decomposes a run's total cycles into the same
 components the paper's performance discussion uses (Section V-C):
@@ -170,6 +170,36 @@ def result_fingerprint(result: "RunResult") -> dict:
             "max_occupancy": fifo.max_occupancy,
         }
     return data
+
+
+def publish_metrics(result: "RunResult", metrics) -> None:
+    """Publish a finished run's stats into a metrics registry.
+
+    One gauge ``<group>.<field>`` per field of the core, interface,
+    FIFO, per-cache and bus stats (a dict field gives one gauge per
+    key), plus ``system.cycles``, ``system.instructions`` and
+    ``system.rollbacks``.  Gauges are *set*, not incremented: the
+    stats are cumulative per system, so publishing after a second
+    run of the same system must not count the first one twice.
+    """
+    groups = {"core": result.core_stats,
+              "iface": result.interface_stats,
+              "fifo": result.fifo_stats,
+              "bus": result.bus_stats,
+              **result.cache_stats}
+    for group, stats in groups.items():
+        if stats is None:
+            continue
+        for name, value in vars(stats).items():
+            if isinstance(value, dict):
+                for key, count in value.items():
+                    label = getattr(key, "name", key).lower()
+                    metrics.gauge(f"{group}.{name}.{label}").set(count)
+            else:
+                metrics.gauge(f"{group}.{name}").set(value)
+    metrics.gauge("system.cycles").set(result.cycles)
+    metrics.gauge("system.instructions").set(result.instructions)
+    metrics.gauge("system.rollbacks").set(result.recoveries)
 
 
 def run_digest(result: "RunResult") -> str:

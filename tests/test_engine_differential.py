@@ -313,6 +313,18 @@ def test_rollback_recovery_bit_identical(engine):
     assert reference.recoveries == fused.recoveries > 0
     _assert_identical(reference, fused)
 
+    # Metrics keep the fused engine and describe the committed path
+    # (the ``--stats`` view): rolled-back work is not counted.
+    telemetry = Telemetry.enabled()
+    system = FlexCoreSystem(program, create_extension("umc"),
+                            telemetry=telemetry)
+    metered = system.run_bounded(engine=engine, **kwargs)
+    snap = telemetry.metrics.snapshot()
+    assert metered.engine == engine
+    assert snap["system.rollbacks"] == metered.recoveries > 0
+    assert snap["core.instructions"] == metered.core_stats.instructions
+    assert run_digest(metered) == run_digest(fused)
+
 
 def test_rollback_span_per_recovery_under_tracer():
     """A tracer forces the reference step through the shared loop;

@@ -2,7 +2,8 @@
 
 ``tests/golden/digests.json`` records the ``run_digest`` of every
 (workload, extension) point of the experiment grid under the fast
-engine.  Any change to decode, timing, forwarding, or extension
+engine, and ``tests/golden/metrics.json`` the metrics snapshot a
+metrics-on fast run of it publishes.  Any change to decode, timing, forwarding, or extension
 semantics shifts a digest and fails here — so architectural changes
 are always explicit diffs of the pinned file, never silent.  The
 reference engine is held to the same results by
@@ -31,6 +32,7 @@ def _load_regenerate():
 
 _regen = _load_regenerate()
 GOLDEN = json.loads((_GOLDEN_DIR / "digests.json").read_text())
+GOLDEN_METRICS = json.loads(_regen.METRICS_PATH.read_text())
 
 
 def test_pinned_file_covers_the_grid():
@@ -38,6 +40,7 @@ def test_pinned_file_covers_the_grid():
     grid = {_regen.key(p) for p in _regen.golden_points()}
     for engine in _regen.GOLDEN_ENGINES:
         assert set(GOLDEN[engine]) == grid
+    assert set(GOLDEN_METRICS) == grid
 
 
 #: engine names each point is run under: the pinned engine(s), plus
@@ -50,9 +53,15 @@ CHECKED_ENGINES = _regen.GOLDEN_ENGINES + ("superblock",)
 @pytest.mark.parametrize("point", _regen.golden_points(),
                          ids=_regen.key)
 def test_digest_matches_pinned(point, engine):
+    """The ``fast`` pass runs with metrics on: it must stay on the
+    fused engine, keep the digest, and publish the pinned snapshot
+    (whose counter-backed values were taken from the per-event
+    counters the simulator used to keep)."""
     from repro.engine.sweep import run_point
+    from repro.telemetry import Telemetry
 
-    outcome = run_point(point, engine=engine)
+    telemetry = Telemetry.enabled() if engine == "fast" else None
+    outcome = run_point(point, engine=engine, telemetry=telemetry)
     pinned = "fast" if engine == "superblock" else engine
     assert outcome.engine == pinned
     expected = GOLDEN[pinned][_regen.key(point)]
@@ -61,3 +70,6 @@ def test_digest_matches_pinned(point, engine):
         f"{expected}.  If this architectural change is intentional, "
         "rerun tests/golden/regenerate.py and review the diff."
     )
+    if telemetry is not None:
+        assert (telemetry.metrics.snapshot()
+                == GOLDEN_METRICS[_regen.key(point)])

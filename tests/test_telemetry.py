@@ -21,6 +21,7 @@ from repro.telemetry import (
     format_run_summary,
     run_digest,
 )
+from repro.telemetry.summary import publish_metrics
 
 COUNT_PROGRAM = """
         .text
@@ -248,8 +249,20 @@ class TestInvariance:
         snap = telemetry.metrics.snapshot()
         assert snap["core.instructions"] > 0
         assert snap["iface.forwarded"] > 0
+        assert snap["fifo.occupancy"]["count"] == snap["fifo.enqueued"]
+        assert snap["fabric.packet_latency"]["count"] > 0
         tracks = {e.track for e in telemetry.tracer.events()}
         assert {"fifo", "fabric"} <= tracks
+
+    def test_publishing_metrics_twice_counts_once(self):
+        telemetry = Telemetry.enabled()
+        result = run_program(program(), create_extension("sec"),
+                             clock_ratio=0.25, fifo_depth=8,
+                             telemetry=telemetry)
+        snap = telemetry.metrics.snapshot()
+        assert snap["system.cycles"] == result.cycles
+        publish_metrics(result, telemetry.metrics)
+        assert telemetry.metrics.snapshot() == snap
 
 
 # ---------------------------------------------------------------------------
