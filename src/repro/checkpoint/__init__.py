@@ -5,7 +5,8 @@ The subsystem has four layers, each usable on its own:
 * :mod:`repro.checkpoint.atomic` — torn-write-free file replacement
   (temp file + fsync + rename), used by every on-disk artifact;
 * :mod:`repro.checkpoint.codec` — a deterministic tagged binary
-  encoding of plain Python data (bit-exact floats included);
+  encoding of plain Python data (bit-exact floats included), and the
+  state digest that compares snapshots without storing them;
 * :mod:`repro.checkpoint.container` — the versioned, per-section
   CRC-checked ``.ckpt`` file format;
 * :class:`SystemSnapshot` — capture/restore of a complete
@@ -22,7 +23,12 @@ from repro.checkpoint.atomic import (
     atomic_write_text,
     fsync_file,
 )
-from repro.checkpoint.codec import CodecError, decode_obj, encode_obj
+from repro.checkpoint.codec import (
+    CodecError,
+    decode_obj,
+    encode_obj,
+    state_digest,
+)
 from repro.checkpoint.container import (
     SCHEMA_VERSION,
     CheckpointCorruptError,
@@ -76,5 +82,6 @@ __all__ = [
     "golden_identity",
     "program_digest",
     "read_container",
+    "state_digest",
     "write_container",
 ]

@@ -29,6 +29,8 @@ makes restored fabric timestamps bit-identical to the originals.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import struct
 from typing import Any
 
@@ -180,3 +182,26 @@ def decode_obj(data: bytes) -> Any:
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after object")
     return obj
+
+
+def state_digest(state: Any) -> str:
+    """SHA-256 fingerprint of one snapshot state: equal digests mean
+    equal states, so a faulted run can be compared with the golden run
+    landmark by landmark without keeping the golden states.
+
+    Hashes ``marshal`` format 2 rather than :func:`encode_obj`, which
+    is about twenty times slower.  Format 2 writes every built-in value
+    with its exact type and no object sharing or interning marks, so
+    the bytes depend on the value alone and the digest is injective.
+    A state holding a subclass of a built-in type (which ``marshal``
+    refuses) is hashed through its ``repr`` instead, under a different
+    prefix so the two encodings cannot collide.  Both are stricter than
+    the codec: a tuple and a list, or two dicts with different key
+    order, digest differently, so equal states captured in different
+    shapes can only fail to match, never match falsely.
+    """
+    try:
+        data = b"m" + marshal.dumps(state, 2)
+    except ValueError:
+        data = b"r" + repr(state).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()

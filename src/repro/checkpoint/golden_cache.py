@@ -41,12 +41,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 IDENTITY_SECTION = "identity"
 PROFILE_SECTION = "profile"
 
+#: version of the cached :class:`~repro.faultinject.models.GoldenProfile`
+#: layout.  Bump it whenever the profile gains a field older entries
+#: lack, so they are diagnosed stale and regenerated instead of loading
+#: without it.  Version 2 added per-landmark state digests.
+GOLDEN_FORMAT = 2
+
 
 def golden_identity(config: "CampaignConfig") -> dict:
     """The fields the golden run's outcome depends on — and nothing
     else (``jobs``, ``faults``, ``seed`` etc. must not fragment the
-    cache)."""
+    cache) — plus the profile layout version."""
     return {
+        "format": GOLDEN_FORMAT,
         "workload": config.workload,
         "source": config.source,
         "entry": config.entry,
@@ -190,10 +197,8 @@ class GoldenCache:
         if fields is None:
             return None, diagnostic
         fields["store_addresses"] = tuple(fields["store_addresses"])
-        # Entries written before warm-start landmarks existed load
-        # with no marks: those campaigns simply run every fault cold.
         fields["marks"] = tuple(
-            ProfileMark(*mark) for mark in fields.get("marks", ())
+            ProfileMark(*mark) for mark in fields["marks"]
         )
         return GoldenProfile(**fields), None
 

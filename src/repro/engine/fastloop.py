@@ -144,7 +144,8 @@ def run_loop(
             checkpoint = system.snapshot_state()
             replay_from = now
             if on_checkpoint is not None:
-                on_checkpoint(system, checkpoint)
+                next_checkpoint = (on_checkpoint(system, checkpoint)
+                                   or next_checkpoint)
 
         pc = cpu.pc
         try:

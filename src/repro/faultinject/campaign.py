@@ -34,8 +34,10 @@ are excluded from the detection-coverage denominator, and a
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
+import math
 import random
 import signal
 import time
@@ -48,6 +50,7 @@ from repro.checkpoint import (
     ResultsJournal,
     SystemSnapshot,
     golden_identity,
+    state_digest,
 )
 from repro.core.executor import SimulationError
 from repro.engine.pool import PoolPolicy, PoolStats
@@ -76,8 +79,8 @@ from repro.util.rng import derive_rng
 from repro.workloads import build_workload
 
 
-#: warm-start landmark cadence: one :class:`ProfileMark` every this
-#: many committed instructions of the golden run ...
+#: landmark cadence: one :class:`ProfileMark` every this many
+#: committed instructions of the golden run ...
 MARK_STRIDE = 256
 #: ... until the landmark list would exceed twice this cap, at which
 #: point every other landmark is dropped and the stride doubles (so
@@ -113,6 +116,20 @@ class CampaignInterrupted(Exception):
         from repro.faultinject.report import CoverageReport
         return CoverageReport.build(self.config, self.profile,
                                     self.results, infra=self.infra)
+
+
+class _Rejoined(Exception):
+    """Raised from a sprint leg's checkpoint callback to stop a run
+    whose state has rejoined the golden run (never escapes
+    :meth:`Campaign._run_warm`)."""
+
+
+class RejoinedRun(RunResult):
+    """A faulted run stopped where its whole state equalled the golden
+    run's at a landmark.  From there it provably repeats the golden
+    run, so its outcome fields (termination, trap, instructions,
+    cycles, output) are the golden run's final ones.  Stats and memory
+    are the stopped system's, as they stood at that landmark."""
 
 
 class Outcome(str, enum.Enum):
@@ -408,6 +425,9 @@ class Campaign:
                     self._warn(cache.disabled_reason)
         self.profile = profile
         self.models = self._select_models()
+        #: warm-started runs this process stopped early because their
+        #: state rejoined the golden run (not counted in pool workers).
+        self.converged_exits = 0
         #: in-memory prefix snapshots for warm-started faulted runs,
         #: keyed by instret (one per landmark actually used).
         self._prefix_snapshots: dict[int, SystemSnapshot] = {}
@@ -452,7 +472,7 @@ class Campaign:
         counts = {"alu": 0, "load": 0, "store": 0}
         addresses: dict[int, None] = {}  # insertion-ordered set
         marks: list[ProfileMark] = []
-        mark_state = {"n": 0, "stride": MARK_STRIDE}
+        stride = MARK_STRIDE
 
         def profile_hook(record):
             if not record.annulled:
@@ -465,19 +485,24 @@ class Campaign:
                     addr = record.addr & ~3
                     if len(addresses) < MAX_PROFILE_ADDRESSES:
                         addresses[addr] = None
-            # Warm-start landmarks: every ``stride`` commits (annulled
-            # slots included, matching instret), remember how far the
-            # ALU and forwarded-packet counters have advanced.  When
-            # the run outgrows the cap, halve the resolution — long
-            # runs get coarser but never unbounded landmark lists.
-            n = mark_state["n"] = mark_state["n"] + 1
-            if n % mark_state["stride"] == 0:
-                forwarded = (system.interface.stats.forwarded
-                             if system.interface else 0)
-                marks.append(ProfileMark(n, counts["alu"], forwarded))
-                if len(marks) == 2 * MAX_PROFILE_MARKS:
-                    del marks[::2]
-                    mark_state["stride"] *= 2
+
+        def landmark(_system, state):
+            # Every ``stride`` commits (annulled slots included,
+            # matching instret), remember how far the ALU and
+            # forwarded-packet counters have advanced and digest the
+            # whole state.  When the run outgrows the cap, halve the
+            # resolution — long runs get coarser but never unbounded
+            # landmark lists.
+            nonlocal stride
+            instret = state["cpu"]["instret"]
+            forwarded = (system.interface.stats.forwarded
+                         if system.interface else 0)
+            marks.append(ProfileMark(instret, counts["alu"], forwarded,
+                                     state_digest(state)))
+            if len(marks) == 2 * MAX_PROFILE_MARKS:
+                del marks[::2]
+                stride *= 2
+            return instret + stride
 
         system.record_hooks.append(profile_hook)
         deadline = None
@@ -486,6 +511,8 @@ class Campaign:
         result = system.run_bounded(
             max_instructions=self.config.max_instructions,
             deadline=deadline,
+            checkpoint_every=MARK_STRIDE,
+            on_checkpoint=landmark,
         )
         if result.termination != Termination.HALTED:
             raise CampaignError(
@@ -683,7 +710,7 @@ class Campaign:
         for mark in self.profile.marks:
             count = (mark.alu_commits if unit == "alu"
                      else mark.forwarded)
-            if count is not None and count >= index:
+            if count >= index:
                 return mark.instret
         return 0
 
@@ -716,6 +743,10 @@ class Campaign:
         the window (the fault trapped or crashed it), that result is
         final and the second leg never happens.  Without a static
         settle point the whole suffix runs in one leg.
+
+        The second leg also stops early, as a :class:`RejoinedRun`,
+        at the first golden landmark (settle or later) where its state
+        digest equals the golden run's — see :meth:`_sprint`.
         """
         config = self.config
         if not settle or settle <= fork:
@@ -747,14 +778,66 @@ class Campaign:
         if active is not None:
             active[0] = remainder  # crashes now belong to this system
         remainder.restore_state(state)
-        return remainder.run_bounded(
-            max_instructions=self._instr_budget,
-            max_cycles=self._cycle_budget,
-            deadline=deadline,
-            checkpoint_every=config.checkpoint_every,
-            # An alias of "fast"; the benchmark's tracer names this
-            # leg by it (perfbench/tracing.py:run_leg).
-            engine="superblock",
+        return self._sprint(remainder, settle, deadline)
+
+    def _sprint(self, system: FlexCoreSystem, settle: int,
+                deadline: float | None) -> RunResult:
+        """The hook-free leg of a warm run: ``system`` was just
+        restored from the faulted run's state at ``settle``.
+
+        At ``settle``, if it is a landmark, and at every later golden
+        landmark, the leg digests its own state; on a match with the
+        golden digest it stops and returns a :class:`RejoinedRun`.
+        That is sound because nothing but its snapshot state steers
+        this system: it carries no fault hooks, its decode and handler
+        tables are built from its own restored memory (stores into
+        text invalidate them), and ``snapshot_state`` promises that
+        restore-and-run reproduces the uninterrupted run.  A system
+        whose state equals the golden state at a landmark therefore
+        runs on exactly as the golden run did, to the golden outcome.
+        """
+        marks = self.profile.marks
+        digests = {mark.instret: mark.digest for mark in marks}
+        ahead = [mark.instret for mark in marks if mark.instret > settle]
+        if digests.get(settle) == state_digest(system.snapshot_state()):
+            return self._rejoined(system)
+
+        def watch(_system, state):
+            instret = state["cpu"]["instret"]
+            if digests.get(instret) == state_digest(state):
+                raise _Rejoined
+            following = bisect.bisect_right(ahead, instret)
+            return (ahead[following] if following < len(ahead)
+                    else math.inf)
+
+        try:
+            return system.run_bounded(
+                max_instructions=self._instr_budget,
+                max_cycles=self._cycle_budget,
+                deadline=deadline,
+                checkpoint_every=ahead[0] - settle if ahead else None,
+                on_checkpoint=watch if ahead else None,
+                # An alias of "fast"; the benchmark's tracer names this
+                # leg by it (perfbench/tracing.py:run_leg).
+                engine="superblock",
+            )
+        except _Rejoined:
+            return self._rejoined(system)
+
+    def _rejoined(self, system: FlexCoreSystem) -> RejoinedRun:
+        self.converged_exits += 1
+        profile = self.profile
+        return RejoinedRun(
+            cycles=profile.cycles,
+            instructions=profile.instructions,
+            halted=True,
+            trap=None,
+            core_stats=system.core_timing.stats,
+            interface_stats=(system.interface.stats
+                             if system.interface else None),
+            memory=system.memory,
+            program=self.program,
+            engine="fast",
         )
 
     def run_spec(
@@ -841,7 +924,8 @@ class Campaign:
             )
         elif result.trap is not None:
             outcome = Outcome.DETECTED
-        elif self._signature(result) != self.profile.output:
+        elif (not isinstance(result, RejoinedRun)
+              and self._signature(result) != self.profile.output):
             outcome = Outcome.SDC
         elif result.recoveries > 0:
             # The monitor trapped, the system rolled back and the

@@ -33,27 +33,25 @@ MAX_PROFILE_ADDRESSES = 4096
 
 
 class ProfileMark(tuple):
-    """One warm-start landmark of the golden run: after ``instret``
-    committed instructions (annulled slots included), exactly
-    ``alu_commits`` of them were non-annulled ALU-class commits and
-    ``forwarded`` trace packets had been delivered to the extension.
+    """One landmark of the golden run: after ``instret`` committed
+    instructions (annulled slots included), exactly ``alu_commits`` of
+    them were non-annulled ALU-class commits, ``forwarded`` trace
+    packets had been delivered to the extension, and the whole machine
+    state had the :func:`~repro.checkpoint.state_digest` ``digest``.
 
-    A plain tuple subclass (not a NamedTuple) so cached profiles
-    round-trip through the checkpoint codec as ordinary tuples.  The
-    ``forwarded`` element is optional: profiles cached before it
-    existed load as 2-tuples, whose marks simply cannot bound
-    forwarded-indexed injection windows.
+    The counters place warm-start fork and settle points; the digest
+    lets a faulted run stop where it rejoins the golden run.  A plain
+    tuple subclass (not a NamedTuple) so cached profiles round-trip
+    through the checkpoint codec as ordinary tuples.
     """
 
     __slots__ = ()
 
-    def __new__(cls, instret: int, alu_commits: int,
-                forwarded: int | None = None):
-        if forwarded is None:
-            return super().__new__(cls,
-                                   (int(instret), int(alu_commits)))
+    def __new__(cls, instret: int, alu_commits: int, forwarded: int,
+                digest: str):
         return super().__new__(
-            cls, (int(instret), int(alu_commits), int(forwarded))
+            cls, (int(instret), int(alu_commits), int(forwarded),
+                  str(digest))
         )
 
     @property
@@ -65,8 +63,12 @@ class ProfileMark(tuple):
         return self[1]
 
     @property
-    def forwarded(self) -> int | None:
-        return self[2] if len(self) > 2 else None
+    def forwarded(self) -> int:
+        return self[2]
+
+    @property
+    def digest(self) -> str:
+        return self[3]
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,10 @@ class GoldenProfile:
     num_physical_registers: int
     #: output signature of the golden run (SDC reference).
     output: str
-    #: warm-start landmarks, ascending by instret (see
-    #: :class:`ProfileMark`).  Defaults empty so profiles cached
-    #: before the field existed keep loading — campaigns simply run
-    #: every fault cold until the profile is regenerated.
-    marks: tuple[ProfileMark, ...] = ()
+    #: golden-run landmarks, ascending by instret (see
+    #: :class:`ProfileMark`); empty when the run is shorter than one
+    #: landmark stride, and then every fault runs cold.
+    marks: tuple[ProfileMark, ...]
 
     def data_words(self) -> int:
         return max(self.data_size // 4, 0)

@@ -346,12 +346,14 @@ class FlexCoreSystem:
 
         ``checkpoint_every=N`` captures a full system snapshot every N
         committed instructions; each one is handed to ``on_checkpoint
-        (system, state)`` if given.  With ``recover=True``, a monitor
-        TRAP no longer terminates the run: the system rolls back to
-        the last checkpoint (or the run's initial state), charges the
-        wasted cycles plus ``recovery_latency``, and re-executes —
-        the paper's exception model extended to recovery.  After
-        ``recovery_limit`` rollbacks the trap is delivered normally.
+        (system, state)`` if given, which may return the absolute
+        instret of the next snapshot (``None`` keeps the N stride).
+        With ``recover=True``, a monitor TRAP no longer terminates the
+        run: the system rolls back to the last checkpoint (or the
+        run's initial state), charges the wasted cycles plus
+        ``recovery_latency``, and re-executes — the paper's exception
+        model extended to recovery.  After ``recovery_limit``
+        rollbacks the trap is delivered normally.
 
         The run resumes from ``self.now`` (zero for a fresh system, a
         restored timestamp after ``restore_state``), so a snapshot

@@ -18,6 +18,7 @@ from repro.checkpoint import (
     encode_obj,
     program_digest,
     read_container,
+    state_digest,
     write_container,
 )
 from repro.checkpoint.container import MAGIC, dump_container
@@ -95,6 +96,28 @@ class TestCodec:
     def test_deterministic_encoding(self):
         value = {"x": [1, 2.5, b"y"], "z": {"nested": True}}
         assert encode_obj(value) == encode_obj(value)
+
+    @pytest.mark.parametrize("value", CASES, ids=repr)
+    def test_state_digest_depends_on_the_value_alone(self, value):
+        # an equal value rebuilt afresh (new, uninterned
+        # strings, no shared objects) digests the same
+        assert state_digest(decode_obj(encode_obj(value))) == \
+            state_digest(value)
+
+    def test_state_digest_tells_types_apart(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 1
+
+        digests = {state_digest(value) for value in (
+            1, True, 1.0, "1", b"1", [1], (1,), {1: 1}, [Level.HIGH],
+        )}
+        assert len(digests) == 9
+        # a built-in subclass falls back to repr, deterministically
+        assert state_digest([Level.HIGH]) == state_digest([Level.HIGH])
+        assert state_digest({"a": 1, "b": 2}) != \
+            state_digest({"b": 2, "a": 1})
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(CodecError, match="trailing"):
@@ -234,6 +257,22 @@ class TestSnapshotRoundTrip:
         a = plain.run_bounded()
         b = checked.run_bounded(checkpoint_every=10)
         assert _result_fingerprint(a) == _result_fingerprint(b)
+
+    def test_checkpoint_callback_schedules_the_next_one(self):
+        # on_checkpoint may return the absolute instret of the next
+        # checkpoint; None keeps the fixed stride.
+        program = assemble(SOURCE, entry="start")
+        seen = []
+
+        def schedule(_system, state):
+            seen.append(state["cpu"]["instret"])
+            return 2 * seen[-1] if len(seen) < 3 else None
+
+        system = FlexCoreSystem(program, create_extension("umc"))
+        result = system.run_bounded(checkpoint_every=5,
+                                    on_checkpoint=schedule)
+        assert result.halted
+        assert seen[:5] == [5, 10, 20, 25, 30]
 
     def test_disk_round_trip(self, tmp_path):
         program = assemble(SOURCE, entry="start")

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,14 +17,22 @@ from repro.checkpoint import (
     JournalCorruptError,
     JournalMismatchError,
     ResultsJournal,
+    decode_obj,
+    encode_obj,
+    golden_identity,
+    state_digest,
+    write_container,
 )
 from repro.faultinject import (
     Campaign,
     CampaignConfig,
     CampaignInterrupted,
     FaultResult,
+    FaultSpec,
     Outcome,
 )
+from repro.faultinject.campaign import MARK_STRIDE
+from repro.faultinject.models import ProfileMark
 
 SOURCE = """
         .text
@@ -269,6 +278,29 @@ class TestGoldenCache:
         assert "stale fields" in diagnostic
         assert "scale" in diagnostic
 
+    def test_entry_without_digests_diagnosed_and_recomputed(self, tmp_path):
+        # A profile cached before landmarks carried state digests must
+        # not load: its runs could never stop early.  Forge one in the
+        # old layout (no format in the identity, 3-element marks) under
+        # the current entry's file name.
+        cache = GoldenCache(tmp_path)
+        config = warm_config("bitcount", "dift", cache_dir=str(tmp_path))
+        fresh = Campaign(config).profile
+        assert fresh.marks
+        identity = golden_identity(config)
+        del identity["format"]
+        fields = vars(fresh).copy()
+        fields["marks"] = [mark[:3] for mark in fresh.marks]
+        write_container(cache.path_for(config), {
+            "identity": encode_obj(identity),
+            "profile": encode_obj(fields),
+        })
+        rebuilt = Campaign(config)
+        assert "stale fields: format" in rebuilt.cache_diagnostic
+        assert rebuilt.golden is not None  # recomputed
+        assert rebuilt.profile == fresh
+        assert Campaign(config).cache_diagnostic is None  # rewritten
+
     def test_corrupt_entry_diagnosed_and_recomputed(self, tmp_path):
         cache = GoldenCache(tmp_path)
         config = sec_config(cache_dir=str(tmp_path))
@@ -348,9 +380,11 @@ class TestWarmStartEquivalence:
         campaign = Campaign(warm_config(workload, extension))
         warm = campaign.run()
         assert warm.to_json() == cold.to_json()
-        # prove the warm path actually engaged — otherwise this test
-        # would pass vacuously with both sides running cold
+        # prove the warm path and the convergence exit actually
+        # engaged — otherwise this test would pass vacuously with both
+        # sides running cold, or every warm run to the end
         assert campaign._prefix_snapshots
+        assert campaign.converged_exits > 0
 
     def test_warm_crash_attributed_to_the_suffix_system(self):
         # Regression: a fault whose crash escapes the warm run's
@@ -387,7 +421,137 @@ class TestWarmStartEquivalence:
         # in-memory store) and still reproduces the report exactly
         second = Campaign(config)
         assert second._prefix_snapshots == {}
+        assert second.golden is None  # the profile came from the cache
         assert second.run().to_json() == report.to_json()
+        # the cached profile's digests still let runs stop early
+        assert second.converged_exits > 0
+
+
+#: a loop that rewrites one of its own text words with that word's
+#: original encoding every iteration; ``patch`` stores what it
+#: computed, and the next iteration overwrites that store.
+SELF_REPAIRING = """
+        .text
+start:  set     patch, %o5
+        ld      [%o5], %o4
+        set     slot, %o2
+        mov     150, %o1
+loop:   st      %o4, [%o5]
+patch:  mov     7, %g3
+        st      %g3, [%o2]
+        subcc   %o1, 1, %o1
+        bne     loop
+        nop
+        ta      0
+        nop
+        .data
+slot:   .word 0
+"""
+
+
+class TestConvergenceExit:
+    """A warm run stops where its state digest equals the golden run's
+    at a landmark, and reports the golden outcome.  Each test compares
+    against the cold (``warm_start=False``) result, which never
+    stops early."""
+
+    SETTINGS = dict(extension="dift", workload="bitcount", scale=0.0625,
+                    faults=30, seed=7)
+
+    def pair(self, **settings):
+        settings = {**self.SETTINGS, **settings}
+        return (Campaign(CampaignConfig(**settings)),
+                Campaign(CampaignConfig(**settings, warm_start=False)))
+
+    @pytest.mark.parametrize("index, model", [
+        (4, "register"),  # "commits"-indexed
+        (10, "alu-result"),  # "alu"-indexed
+        (0, "fifo-drop"),  # "forwarded"-indexed
+    ])
+    def test_each_trigger_kind_matches_cold(self, index, model):
+        warm, cold = self.pair()
+        assert warm.plan(index)[0].name == model
+        result = warm.run_one(index)
+        assert warm.converged_exits == 1
+        assert result == cold.run_one(index)
+        assert result.outcome is Outcome.MASKED
+
+    @pytest.mark.parametrize("corrupt", ["exit-landmark", "every"])
+    def test_corrupt_digests_run_to_the_end(self, corrupt, monkeypatch):
+        warm, cold = self.pair()
+        index = 4
+        exits = []
+        rejoined = warm._rejoined
+
+        def spy(system):
+            exits.append(system.cpu.instret)
+            return rejoined(system)
+
+        monkeypatch.setattr(warm, "_rejoined", spy)
+        exited = warm.run_one(index)
+        [landmark] = exits
+        profile = warm.profile
+        warm.profile = replace(profile, marks=tuple(
+            ProfileMark(*mark[:3], state_digest(None))
+            if corrupt == "every" or mark.instret == landmark else mark
+            for mark in profile.marks
+        ))
+        again = warm.run_one(index)
+        # the corrupted landmark no longer matches: the run goes on,
+        # to a later landmark or to the end, with the same result
+        assert landmark not in exits[1:]
+        if corrupt == "every":
+            assert len(exits) == 1
+        assert again == exited == cold.run_one(index)
+
+    def test_state_digest_survives_restore(self):
+        # snapshot -> restore into a fresh system -> snapshot digests
+        # the same, straight or through the codec (disk-cached prefix
+        # snapshots come back with lists for tuples), and a hook-free
+        # fast run reaches the golden digest at each landmark checked.
+        campaign = Campaign(warm_config("bitcount", "dift"))
+        golden = {mark.instret: mark.digest
+                  for mark in campaign.profile.marks}
+        states = {}
+
+        def keep(_system, state):
+            states[state["cpu"]["instret"]] = state
+
+        campaign._build_system().run_bounded(
+            checkpoint_every=MARK_STRIDE, on_checkpoint=keep,
+        )
+        landmarks = sorted(golden)[::6]
+        assert len(landmarks) >= 4
+        for instret in landmarks:
+            state = states[instret]
+            assert state_digest(state) == golden[instret]
+            for source in (state, decode_obj(encode_obj(state))):
+                fresh = campaign._build_system()
+                fresh.restore_state(source)
+                assert state_digest(fresh.snapshot_state()) == \
+                    golden[instret]
+
+    def test_text_upset_rejoins_after_the_program_repairs_it(self):
+        # A memory upset on a text word, struck right after the loop
+        # rewrote it: the sprint leg executes the flipped word from
+        # its restored memory, the next rewrite must invalidate the
+        # handler built from it, and the run then rejoins the golden
+        # run.  A stale handler would store 5 instead of 7 forever.
+        warm, cold = self.pair(extension="sec", workload=None,
+                               source=SELF_REPAIRING, scale=0.125)
+        program = warm.program
+        loop, patch = program.symbol("loop"), program.symbol("patch")
+        commits = []
+        system = warm._build_system()
+        system.record_hooks.append(lambda record: commits.append(record.pc))
+        system.run()
+        index = next(n for n, pc in enumerate(commits, 1)
+                     if pc == loop and n > MARK_STRIDE + 32)
+        spec = FaultSpec.make("memory", index=index, addr=patch, bit=1)
+        result = warm.classify(spec, 0, warm.run_spec(spec))
+        assert warm.converged_exits == 1
+        assert result == cold.classify(spec, 0, cold.run_spec(spec))
+        assert result.outcome is Outcome.MASKED
 
 
 @pytest.mark.slow
