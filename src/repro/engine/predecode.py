@@ -21,24 +21,27 @@ by every engine, :func:`repro.engine.fastloop.run_loop`; it calls
 :meth:`HandlerTable.annulled` instead of a handler when the pending
 delay slot is annulled.
 
+Each common instruction shape (simple ALU, full ALU, load, store,
+branch, sethi, call) has one closure factory, whatever the policy.
 Fidelity rules the closures follow:
 
-* Ignored-class common instructions are fully fused: no record is
+* Ignored-class common instructions are fully fused: nothing is
   allocated; the interface bookkeeping reduces to the two counters
   ``on_commit`` would have bumped.
-* *Forwarded* common instructions (policy != IGNORE) fuse the
-  functional work and the timing charge, build a fresh
-  ``CommitRecord`` per call — field-for-field what ``_execute`` would
-  have produced, fresh because trace packets retain their record —
-  and hand it to a fused commit tail (``_make_forward``).  The tail
-  replays ``on_commit``'s body with the policy, ack mode and static
-  DECODE bits resolved at build time, builds the ``TracePacket``
-  itself, and calls the same ``DecouplingFifo.is_full``/``push`` and
-  ``CoreFabricInterface._service`` as the reference engine, so FIFO
-  occupancy, fabric service and trap latching have one
-  implementation.  ``_service`` looks the monitor up as
-  ``iface.extension.process`` on every packet, so a patched instance
-  method (the ``fifo-drop`` fault) is honoured.
+* *Forwarded* common instructions (policy != IGNORE) run the same
+  fused functional work and timing charge, then build one object: the
+  ``TracePacket``, field for field what ``TracePacket.from_commit``
+  makes of the ``CommitRecord`` ``_execute`` would have produced,
+  with no record attached.  A fused commit tail (``_make_forward``)
+  replays ``on_commit``'s body with the policy and ack mode resolved
+  at build time, inlines the FIFO check and push on the FIFO's drain
+  queue, and calls the fabric service
+  ``CoreFabricInterface.service_for`` chose when the handler was
+  built.  That is a closure over the extension's fabric op for the
+  packet's class and shape — the op ``process`` runs too — or the
+  reference ``_service``, which calls ``process`` per packet: under a
+  tracer or a meta-data TLB, for an extension without ops, and when
+  ``process`` is patched on the instance (the ``fifo-drop`` fault).
 * The rare opcodes (FLEX, JMPL, TICC, SAVE/RESTORE, RDY/WRY, RETT,
   LDD/STD) run through the original ``CpuState._execute`` /
   ``CoreTiming.advance`` / ``on_commit`` machinery — only the fetch
@@ -47,7 +50,9 @@ Fidelity rules the closures follow:
   with the same types and messages, ``instret`` only increments after
   the fallible functional work, and mutable collaborators that
   ``restore_state`` *replaces* (``timing.stats``, ``iface.stats``,
-  ``cpu.codes``) are re-read through their stable owner on every call.
+  ``fifo.stats``, ``cpu.codes``) are re-read through their stable
+  owner on every call.  Containers restored in place (the FIFO's
+  drain queue, the monitor's tag stores) may be bound once.
 * Stores into the text section invalidate the handler for the written
   word, so self-modifying code re-predecodes on next execution.
 
@@ -58,7 +63,6 @@ never describes memory it has not read.
 from __future__ import annotations
 
 from repro.core.alu import ALU_OPS, ALU_VALUE, CONDITIONS
-from repro.core.executor import CommitRecord
 from repro.flexcore.cfgr import ForwardPolicy
 from repro.flexcore.packet import TracePacket
 from repro.isa.encoding import decode
@@ -67,6 +71,10 @@ from repro.isa.opcodes import Cond, Op, Op2, Op3, Op3Mem
 from repro.memory.backing import PAGE_MASK, PAGE_SIZE, MemoryFault
 
 MASK32 = 0xFFFFFFFF
+
+#: ``tuple.__new__``: builds a packet from its 15 fields (the record
+#: slot None) without the named tuple's generated ``__new__`` call.
+_new_packet = tuple.__new__
 
 #: Process-wide word -> Instruction memo.  Instructions are frozen and
 #: decoding is pure, so the memo is shared by every table.
@@ -124,6 +132,19 @@ def _word_accessors(memory):
         page[o + 3] = value & 0xFF
 
     return read_word, write_word
+
+
+def _static_decode(instr: Instruction) -> int:
+    """The DECODE bits of ``instr``'s packets that never change: all
+    but the incoming carry (bit 16), as ``TracePacket.from_commit``
+    packs them."""
+    decode = (int(instr.is_load)
+              | (int(instr.is_store) << 1)
+              | (int(instr.use_imm) << 2)
+              | ((instr.opf & 0x1FF) << 3))
+    if instr.is_load or instr.is_store:
+        decode |= (instr.access_size() & 0xF) << 12
+    return decode
 
 
 class HandlerTable:
@@ -203,56 +224,30 @@ class HandlerTable:
         policy = (iface.cfgr.policy(instr_class)
                   if iface is not None else ForwardPolicy.IGNORE)
 
-        handler = None
-        if policy == ForwardPolicy.IGNORE:
-            op = instr.op
-            if op == Op.FORMAT3_ALU and instr.opcode not in _SPECIAL_ALU:
-                valfn = ALU_VALUE.get(instr.opcode)
-                if valfn is not None:
-                    handler = self._make_alu_simple(pc, instr, valfn,
-                                                    latency)
-                else:
-                    handler = self._make_alu_full(pc, instr, latency)
-            elif op == Op.FORMAT3_MEM:
-                if instr.opcode in _FUSED_LOADS:
-                    handler = self._make_load(pc, instr, latency)
-                elif instr.opcode in _FUSED_STORES:
-                    handler = self._make_store(pc, instr, latency)
-            elif op == Op.CALL:
-                handler = self._make_call(pc, instr, latency)
-            elif op == Op.FORMAT2:
-                if instr.opcode == Op2.SETHI:
-                    handler = self._make_sethi(pc, instr, latency)
-                elif instr.opcode == Op2.BICC:
-                    handler = self._make_branch(pc, instr, latency)
-        else:
-            op = instr.op
-            if op == Op.FORMAT3_ALU and instr.opcode not in _SPECIAL_ALU:
-                valfn = ALU_VALUE.get(instr.opcode)
-                if valfn is not None:
-                    handler = self._make_alu_simple_fwd(pc, word, instr,
-                                                        valfn, latency)
-                else:
-                    handler = self._make_alu_full_fwd(pc, word, instr,
-                                                      latency)
-            elif op == Op.FORMAT3_MEM:
-                if instr.opcode in _FUSED_LOADS:
-                    handler = self._make_load_fwd(pc, word, instr,
-                                                  latency)
-                elif instr.opcode in _FUSED_STORES:
-                    handler = self._make_store_fwd(pc, word, instr,
-                                                   latency)
-            elif op == Op.CALL:
-                handler = self._make_call_fwd(pc, word, instr, latency)
-            elif op == Op.FORMAT2:
-                if instr.opcode == Op2.SETHI:
-                    handler = self._make_sethi_fwd(pc, word, instr,
-                                                   latency)
-                elif instr.opcode == Op2.BICC:
-                    handler = self._make_branch_fwd(pc, word, instr,
-                                                    latency)
-        if handler is None:
+        factory = None
+        op = instr.op
+        opcode = instr.opcode
+        if op == Op.FORMAT3_ALU and opcode not in _SPECIAL_ALU:
+            factory = (self._make_alu_simple if opcode in ALU_VALUE
+                       else self._make_alu_full)
+        elif op == Op.FORMAT3_MEM:
+            if opcode in _FUSED_LOADS:
+                factory = self._make_load
+            elif opcode in _FUSED_STORES:
+                factory = self._make_store
+        elif op == Op.CALL:
+            factory = self._make_call
+        elif op == Op.FORMAT2:
+            if opcode == Op2.SETHI:
+                factory = self._make_sethi
+            elif opcode == Op2.BICC:
+                factory = self._make_branch
+        if factory is None:
             handler = self._make_generic(pc, word, instr)
+        else:
+            forward = (None if policy == ForwardPolicy.IGNORE
+                       else self._make_forward(word, instr_class))
+            handler = factory(pc, word, instr, latency, forward)
         self.handlers[pc] = handler
         return handler
 
@@ -260,6 +255,18 @@ class HandlerTable:
     # Closure factories.  Each captures only objects that are stable
     # across restore_state (the cpu/timing/interface *owners*, bound
     # methods of in-place-mutated collaborators) plus per-PC statics.
+    #
+    # ``forward`` is None for an IGNORE-class instruction: the handler
+    # then bumps the two counters ``on_commit`` would have.  Otherwise
+    # it is the fused commit tail (``_make_forward``), and the handler
+    # ends by building the instruction's ``TracePacket`` — field for
+    # field what ``TracePacket.from_commit`` makes of the record
+    # ``_execute`` would have produced, minus the record — and handing
+    # it over.  The packet is built in Table II order (pc, inst, addr,
+    # res, srcv1, srcv2, cond, branch, opcode, decode, extra, src1,
+    # src2, dest) plus the empty record slot, by ``tuple.__new__``:
+    # keyword construction costs about three times as much, and the
+    # named tuple's own ``__new__`` is one more call per packet.
 
     def _context(self):
         system = self.system
@@ -270,17 +277,78 @@ class HandlerTable:
                 regs.physical_index, timing.icache.read,
                 system.bus.line_refill)
 
-    def _make_alu_simple(self, pc, instr, valfn, latency):
+    def _make_forward(self, word, klass):
+        """Fused equivalent of ``on_commit`` for a known-forwarded,
+        never-annulled instruction: the FIFO check and push inlined on
+        the FIFO's drain queue, then the fabric service
+        ``CoreFabricInterface.service_for`` picks for this class and
+        shape — the extension's op, or the reference ``_service``.
+        No tracer events: the fast engine only runs with tracing
+        disabled, and metrics come from the stats at run end."""
+        iface = self.system.interface
+        policy = iface.cfgr.policy(klass)
+        best_effort = policy == ForwardPolicy.BEST_EFFORT
+        # FLEX never takes this path (it is in ``_SPECIAL_ALU``), so
+        # the READ_STATUS clause of the reference ack rule is moot.
+        needs_ack = (policy == ForwardPolicy.ALWAYS_ACK
+                     or iface.config.precise_exceptions)
+        sync = iface.config.sync_fabric_cycles
+        fifo = iface.fifo
+        drains = fifo._drains
+        retire = drains.popleft
+        append = drains.append
+        depth = fifo.depth
+        service = iface.service_for(klass, word)
+
+        def forward(packet, now):
+            stats = iface.stats
+            stats.committed += 1
+            while drains and drains[0] <= now:
+                retire()
+            if len(drains) >= depth:
+                if best_effort:
+                    stats.dropped += 1
+                    fifo.stats.dropped += 1
+                    return now
+                wait = drains[0] - now
+                stats.fifo_stall_cycles += wait
+                fifo.stats.full_stall_cycles += wait
+                now += wait
+                while drains and drains[0] <= now:
+                    retire()
+            stats.forwarded += 1
+            by_class = stats.forwarded_by_class
+            by_class[klass] = by_class.get(klass, 0) + 1
+            drain = service(packet, now)
+            append(drain)
+            fifo_stats = fifo.stats
+            fifo_stats.enqueued += 1
+            occupancy = len(drains)
+            if occupancy > fifo_stats.max_occupancy:
+                fifo_stats.max_occupancy = occupancy
+            if needs_ack:
+                ack_at = drain + sync
+                stats.ack_stall_cycles += ack_at - now
+                now = ack_at
+            return now
+
+        return forward
+
+    def _make_alu_simple(self, pc, word, instr, latency, forward):
         (cpu, timing, iface, regs_read, regs_write, phys,
          icache_read, refill) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
+        valfn = ALU_VALUE[instr.opcode]
+        klass = instr.instr_class
+        decode = _static_decode(instr)
 
         def handler(now):
             a = regs_read(rs1)
             b = imm if use_imm else regs_read(rs2)
-            regs_write(rd, valfn(a, b))
+            value = valfn(a, b)
+            regs_write(rd, value)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -302,6 +370,13 @@ class HandlerTable:
             ts.base_cycles += base
             now += base
             ts.cycles = now
+            if forward is not None:
+                codes = cpu.codes
+                return forward(_new_packet(TracePacket, (
+                    pc, word, 0, value, a, b, codes.pack(), False, klass,
+                    decode | (codes.c << 16), cpu.y, phys(rs1),
+                    0 if use_imm else phys(rs2), phys(rd), None,
+                )), now)
             if iface is not None:
                 s = iface.stats
                 s.committed += 1
@@ -310,18 +385,22 @@ class HandlerTable:
 
         return handler
 
-    def _make_alu_full(self, pc, instr, latency):
+    def _make_alu_full(self, pc, word, instr, latency, forward):
         (cpu, timing, iface, regs_read, regs_write, phys,
          icache_read, refill) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         alu_op = ALU_OPS[instr.opcode]
+        klass = instr.instr_class
+        decode = _static_decode(instr)
 
         def handler(now):
             a = regs_read(rs1)
             b = imm if use_imm else regs_read(rs2)
-            alu = alu_op(a, b, cpu.codes.c, cpu.y)
+            carry_before = cpu.codes.c
+            y_before = cpu.y
+            alu = alu_op(a, b, carry_before, y_before)
             regs_write(rd, alu.value)
             if alu.codes is not None:
                 cpu.codes = alu.codes
@@ -348,6 +427,12 @@ class HandlerTable:
             ts.base_cycles += base
             now += base
             ts.cycles = now
+            if forward is not None:
+                return forward(_new_packet(TracePacket, (
+                    pc, word, 0, alu.value, a, b, cpu.codes.pack(), False,
+                    klass, decode | (carry_before << 16), y_before,
+                    phys(rs1), 0 if use_imm else phys(rs2), phys(rd), None,
+                )), now)
             if iface is not None:
                 s = iface.stats
                 s.committed += 1
@@ -356,13 +441,15 @@ class HandlerTable:
 
         return handler
 
-    def _make_load(self, pc, instr, latency):
+    def _make_load(self, pc, word, instr, latency, forward):
         (cpu, timing, iface, regs_read, regs_write, phys,
          icache_read, refill) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
+        klass = instr.instr_class
+        decode = _static_decode(instr)
         dcache_read = timing.dcache.read
         memory = self.system.memory
         read_word = self._read_word
@@ -415,6 +502,13 @@ class HandlerTable:
                 ts.dcache_stall += done - now
                 now = done
             ts.cycles = now
+            if forward is not None:
+                codes = cpu.codes
+                return forward(_new_packet(TracePacket, (
+                    pc, word, addr, value, a, b, codes.pack(), False, klass,
+                    decode | (codes.c << 16), cpu.y, phys(rs1),
+                    0 if use_imm else phys(rs2), phys(rd), None,
+                )), now)
             if iface is not None:
                 s = iface.stats
                 s.committed += 1
@@ -423,13 +517,15 @@ class HandlerTable:
 
         return handler
 
-    def _make_store(self, pc, instr, latency):
+    def _make_store(self, pc, word, instr, latency, forward):
         (cpu, timing, iface, regs_read, regs_write, phys,
          icache_read, refill) = self._context()
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
+        klass = instr.instr_class
+        decode = _static_decode(instr)
         dcache_write = timing.dcache.write
         sb_push = timing.store_buffer.push
         memory = self.system.memory
@@ -477,6 +573,13 @@ class HandlerTable:
             ts.store_stall += proceed - now
             now = proceed
             ts.cycles = now
+            if forward is not None:
+                codes = cpu.codes
+                return forward(_new_packet(TracePacket, (
+                    pc, word, addr, value, a, b, codes.pack(), False, klass,
+                    decode | (codes.c << 16), cpu.y, phys(rs1),
+                    0 if use_imm else phys(rs2), phys(rd), None,
+                )), now)
             if iface is not None:
                 s = iface.stats
                 s.committed += 1
@@ -485,16 +588,20 @@ class HandlerTable:
 
         return handler
 
-    def _make_branch(self, pc, instr, latency):
+    def _make_branch(self, pc, word, instr, latency, forward):
         (cpu, timing, iface, _regs_read, _regs_write, _phys,
          icache_read, refill) = self._context()
         cond_eval = CONDITIONS[instr.cond]
         target = (pc + 4 * instr.disp) & MASK32
         annul = instr.annul
         annul_taken = instr.annul and instr.cond == Cond.BA
+        klass = instr.instr_class
+        decode = _static_decode(instr)
 
         def handler(now):
-            if cond_eval(cpu.codes):
+            codes = cpu.codes
+            taken = cond_eval(codes)
+            if taken:
                 if annul_taken:
                     cpu._annul_next = True
                 npc = cpu.npc
@@ -520,6 +627,11 @@ class HandlerTable:
             ts.base_cycles += latency
             now += latency
             ts.cycles = now
+            if forward is not None:
+                return forward(_new_packet(TracePacket, (
+                    pc, word, target, 0, 0, 0, codes.pack(), taken, klass,
+                    decode | (codes.c << 16), cpu.y, 0, 0, 0, None,
+                )), now)
             if iface is not None:
                 s = iface.stats
                 s.committed += 1
@@ -528,11 +640,13 @@ class HandlerTable:
 
         return handler
 
-    def _make_sethi(self, pc, instr, latency):
-        (cpu, timing, iface, _regs_read, regs_write, _phys,
+    def _make_sethi(self, pc, word, instr, latency, forward):
+        (cpu, timing, iface, _regs_read, regs_write, phys,
          icache_read, refill) = self._context()
         rd = instr.rd
         value = (instr.imm << 10) & MASK32
+        klass = instr.instr_class
+        decode = _static_decode(instr)
 
         def handler(now):
             regs_write(rd, value)
@@ -551,6 +665,12 @@ class HandlerTable:
             ts.base_cycles += latency
             now += latency
             ts.cycles = now
+            if forward is not None:
+                codes = cpu.codes
+                return forward(_new_packet(TracePacket, (
+                    pc, word, 0, value, 0, 0, codes.pack(), False, klass,
+                    decode | (codes.c << 16), cpu.y, 0, 0, phys(rd), None,
+                )), now)
             if iface is not None:
                 s = iface.stats
                 s.committed += 1
@@ -559,10 +679,12 @@ class HandlerTable:
 
         return handler
 
-    def _make_call(self, pc, instr, latency):
-        (cpu, timing, iface, _regs_read, regs_write, _phys,
+    def _make_call(self, pc, word, instr, latency, forward):
+        (cpu, timing, iface, _regs_read, regs_write, phys,
          icache_read, refill) = self._context()
         target = (pc + 4 * instr.disp) & MASK32
+        klass = instr.instr_class
+        decode = _static_decode(instr)
 
         def handler(now):
             regs_write(15, pc)  # %o7 <- address of the call
@@ -581,430 +703,17 @@ class HandlerTable:
             ts.base_cycles += latency
             now += latency
             ts.cycles = now
+            if forward is not None:
+                codes = cpu.codes
+                return forward(_new_packet(TracePacket, (
+                    pc, word, target, pc, 0, 0, codes.pack(), True, klass,
+                    decode | (codes.c << 16), cpu.y, 0, 0, phys(15), None,
+                )), now)
             if iface is not None:
                 s = iface.stats
                 s.committed += 1
                 s.ignored += 1
             return now
-
-        return handler
-
-    # ------------------------------------------------------------------
-    # Forwarded variants: same fused functional/timing work, plus a
-    # fresh CommitRecord — field-for-field what ``_execute`` builds,
-    # fresh because packets retain their record — handed to a fused
-    # commit tail (``_make_forward``) that replays ``on_commit``'s
-    # body with the policy, ack mode and static DECODE bits resolved
-    # at build time.  The dynamic machinery (FIFO occupancy,
-    # ``_service``, trap latching) stays on the original code.  The
-    # record is built positionally, in field order: keyword
-    # construction costs about three times as much.
-
-    def _make_forward(self, pc, word, instr, klass):
-        """Fused equivalent of ``on_commit`` + ``from_commit`` for a
-        known-forwarded, never-annulled instruction.  The tracer is
-        structurally ``None`` here: the fast engine only runs with
-        tracing disabled, and metrics come from the stats at run
-        end."""
-        iface = self.system.interface
-        policy = iface.cfgr.policy(klass)
-        best_effort = policy == ForwardPolicy.BEST_EFFORT
-        # FLEX never takes this path (it is in ``_SPECIAL_ALU``), so
-        # the READ_STATUS clause of the reference ack rule is moot.
-        needs_ack = (policy == ForwardPolicy.ALWAYS_ACK
-                     or iface.config.precise_exceptions)
-        sync = iface.config.sync_fabric_cycles
-        fifo = iface.fifo
-        is_full = fifo.is_full
-        time_until_space = fifo.time_until_space
-        push = fifo.push
-        service = iface._service
-        base_decode = (int(instr.is_load)
-                       | (int(instr.is_store) << 1)
-                       | (int(instr.use_imm) << 2)
-                       | ((instr.opf & 0x1FF) << 3))
-        if instr.is_load or instr.is_store:
-            base_decode |= (instr.access_size() & 0xF) << 12
-
-        def forward(record, now):
-            stats = iface.stats
-            stats.committed += 1
-            if is_full(now):
-                if best_effort:
-                    stats.dropped += 1
-                    fifo.stats.dropped += 1
-                    return now
-                wait = time_until_space(now)
-                stats.fifo_stall_cycles += wait
-                fifo.stats.full_stall_cycles += wait
-                now += wait
-            # Positional, in Table II order (pc, inst, addr, res,
-            # srcv1, srcv2, cond, branch, opcode, decode, extra, src1,
-            # src2, dest, record), as in ``TracePacket.from_commit``.
-            packet = TracePacket(
-                pc, word, record.addr, record.result,
-                record.srcv1, record.srcv2, record.cond,
-                record.branch_taken, klass,
-                base_decode | (int(record.carry_before) << 16),
-                record.y_before, record.src1_phys, record.src2_phys,
-                record.dest_phys, record,
-            )
-            stats.forwarded += 1
-            by_class = stats.forwarded_by_class
-            by_class[klass] = by_class.get(klass, 0) + 1
-            drain = service(packet, now)
-            push(now, drain)
-            if needs_ack:
-                ack_at = drain + sync
-                stats.ack_stall_cycles += ack_at - now
-                now = ack_at
-            return now
-
-        return forward
-
-    def _make_alu_simple_fwd(self, pc, word, instr, valfn, latency):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
-        rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
-        use_imm = instr.use_imm
-        imm = instr.imm & MASK32
-        klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
-
-        def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
-            value = valfn(a, b)
-            regs_write(rd, value)
-            codes = cpu.codes
-            record = CommitRecord(
-                pc, word, instr, klass, 0, value, a, b, codes.pack(),
-                False, phys(rs1), 0 if use_imm else phys(rs2), phys(rd),
-                codes.c, cpu.y,
-            )
-            npc = cpu.npc
-            cpu.pc = npc
-            cpu.npc = (npc + 4) & MASK32
-            cpu.instret += 1
-            ts = timing.stats
-            ts.instructions += 1
-            now = int(now)
-            if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
-            base = latency
-            dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)):
-                base += 1
-                ts.interlock_stall += 1
-            timing._pending_load_dest = -1
-            ts.base_cycles += base
-            now += base
-            ts.cycles = now
-            return forward(record, now)
-
-        return handler
-
-    def _make_alu_full_fwd(self, pc, word, instr, latency):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
-        rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
-        use_imm = instr.use_imm
-        imm = instr.imm & MASK32
-        alu_op = ALU_OPS[instr.opcode]
-        klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
-
-        def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
-            carry_before = cpu.codes.c
-            y_before = cpu.y
-            alu = alu_op(a, b, carry_before, y_before)
-            regs_write(rd, alu.value)
-            if alu.codes is not None:
-                cpu.codes = alu.codes
-            if alu.y is not None:
-                cpu.y = alu.y
-            record = CommitRecord(
-                pc, word, instr, klass, 0, alu.value, a, b,
-                cpu.codes.pack(), False, phys(rs1),
-                0 if use_imm else phys(rs2), phys(rd), carry_before,
-                y_before,
-            )
-            npc = cpu.npc
-            cpu.pc = npc
-            cpu.npc = (npc + 4) & MASK32
-            cpu.instret += 1
-            ts = timing.stats
-            ts.instructions += 1
-            now = int(now)
-            if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
-            base = latency
-            dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)):
-                base += 1
-                ts.interlock_stall += 1
-            timing._pending_load_dest = -1
-            ts.base_cycles += base
-            now += base
-            ts.cycles = now
-            return forward(record, now)
-
-        return handler
-
-    def _make_load_fwd(self, pc, word, instr, latency):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
-        rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
-        use_imm = instr.use_imm
-        imm = instr.imm & MASK32
-        op3 = instr.opcode
-        klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
-        dcache_read = timing.dcache.read
-        memory = self.system.memory
-        read_word = self._read_word
-        read_byte = memory.read_byte
-        read_half = memory.read_half
-
-        if op3 == Op3Mem.LD:
-            loadfn = read_word
-        elif op3 == Op3Mem.LDUB:
-            loadfn = read_byte
-        elif op3 == Op3Mem.LDSB:
-            def loadfn(addr):
-                raw = read_byte(addr)
-                return (raw - 0x100 if raw & 0x80 else raw) & MASK32
-        elif op3 == Op3Mem.LDUH:
-            loadfn = read_half
-        else:  # LDSH
-            def loadfn(addr):
-                raw = read_half(addr)
-                return (raw - 0x10000 if raw & 0x8000 else raw) & MASK32
-
-        def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
-            addr = (a + b) & MASK32
-            value = loadfn(addr)
-            regs_write(rd, value)
-            codes = cpu.codes
-            record = CommitRecord(
-                pc, word, instr, klass, addr, value, a, b, codes.pack(),
-                False, phys(rs1), 0 if use_imm else phys(rs2), phys(rd),
-                codes.c, cpu.y,
-            )
-            npc = cpu.npc
-            cpu.pc = npc
-            cpu.npc = (npc + 4) & MASK32
-            cpu.instret += 1
-            ts = timing.stats
-            ts.instructions += 1
-            now = int(now)
-            if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
-            base = latency
-            dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)):
-                base += 1
-                ts.interlock_stall += 1
-            timing._pending_load_dest = phys(rd)
-            ts.base_cycles += base
-            now += base
-            if not dcache_read(addr):
-                done = refill(now, "core-dcache")
-                ts.dcache_stall += done - now
-                now = done
-            ts.cycles = now
-            return forward(record, now)
-
-        return handler
-
-    def _make_store_fwd(self, pc, word, instr, latency):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
-        rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
-        use_imm = instr.use_imm
-        imm = instr.imm & MASK32
-        op3 = instr.opcode
-        klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
-        dcache_write = timing.dcache.write
-        sb_push = timing.store_buffer.push
-        memory = self.system.memory
-        if op3 == Op3Mem.ST:
-            storefn = self._write_word
-        elif op3 == Op3Mem.STB:
-            storefn = memory.write_byte
-        else:  # STH
-            storefn = memory.write_half
-        text_lo, text_hi = self.text_lo, self.text_hi
-        invalidate = self.invalidate
-
-        def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
-            addr = (a + b) & MASK32
-            value = regs_read(rd)
-            storefn(addr, value)
-            if text_lo <= addr < text_hi:
-                # Self-modifying code: re-predecode the touched word.
-                invalidate(addr)
-            codes = cpu.codes
-            record = CommitRecord(
-                pc, word, instr, klass, addr, value, a, b, codes.pack(),
-                False, phys(rs1), 0 if use_imm else phys(rs2), phys(rd),
-                codes.c, cpu.y,
-            )
-            npc = cpu.npc
-            cpu.pc = npc
-            cpu.npc = (npc + 4) & MASK32
-            cpu.instret += 1
-            ts = timing.stats
-            ts.instructions += 1
-            now = int(now)
-            if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
-            base = latency
-            dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)
-                             or phys(rd) == dest):
-                base += 1
-                ts.interlock_stall += 1
-            timing._pending_load_dest = -1
-            ts.base_cycles += base
-            now += base
-            dcache_write(addr)
-            proceed = sb_push(now)
-            ts.store_stall += proceed - now
-            now = proceed
-            ts.cycles = now
-            return forward(record, now)
-
-        return handler
-
-    def _make_branch_fwd(self, pc, word, instr, latency):
-        (cpu, timing, iface, _regs_read, _regs_write, _phys,
-         icache_read, refill) = self._context()
-        cond_eval = CONDITIONS[instr.cond]
-        target = (pc + 4 * instr.disp) & MASK32
-        annul = instr.annul
-        annul_taken = instr.annul and instr.cond == Cond.BA
-        klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
-
-        def handler(now):
-            codes = cpu.codes
-            taken = cond_eval(codes)
-            record = CommitRecord(
-                pc, word, instr, klass, target, 0, 0, 0, codes.pack(),
-                taken, 0, 0, 0, codes.c, cpu.y,
-            )
-            if taken:
-                if annul_taken:
-                    cpu._annul_next = True
-                npc = cpu.npc
-                cpu.pc = npc
-                cpu.npc = target
-            else:
-                if annul:
-                    cpu._annul_next = True
-                npc = cpu.npc
-                cpu.pc = npc
-                cpu.npc = (npc + 4) & MASK32
-            cpu.instret += 1
-            ts = timing.stats
-            ts.instructions += 1
-            now = int(now)
-            if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
-            timing._pending_load_dest = -1
-            ts.base_cycles += latency
-            now += latency
-            ts.cycles = now
-            return forward(record, now)
-
-        return handler
-
-    def _make_sethi_fwd(self, pc, word, instr, latency):
-        (cpu, timing, iface, _regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
-        rd = instr.rd
-        value = (instr.imm << 10) & MASK32
-        klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
-
-        def handler(now):
-            regs_write(rd, value)
-            codes = cpu.codes
-            record = CommitRecord(
-                pc, word, instr, klass, 0, value, 0, 0, codes.pack(),
-                False, 0, 0, phys(rd), codes.c, cpu.y,
-            )
-            npc = cpu.npc
-            cpu.pc = npc
-            cpu.npc = (npc + 4) & MASK32
-            cpu.instret += 1
-            ts = timing.stats
-            ts.instructions += 1
-            now = int(now)
-            if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
-            timing._pending_load_dest = -1
-            ts.base_cycles += latency
-            now += latency
-            ts.cycles = now
-            return forward(record, now)
-
-        return handler
-
-    def _make_call_fwd(self, pc, word, instr, latency):
-        (cpu, timing, iface, _regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
-        target = (pc + 4 * instr.disp) & MASK32
-        klass = instr.instr_class
-        forward = self._make_forward(pc, word, instr, klass)
-
-        def handler(now):
-            regs_write(15, pc)  # %o7 <- address of the call
-            codes = cpu.codes
-            record = CommitRecord(
-                pc, word, instr, klass, target, pc, 0, 0, codes.pack(),
-                True, 0, 0, phys(15), codes.c, cpu.y,
-            )
-            npc = cpu.npc
-            cpu.pc = npc
-            cpu.npc = target
-            cpu.instret += 1
-            ts = timing.stats
-            ts.instructions += 1
-            now = int(now)
-            if not icache_read(pc):
-                done = refill(now, "core-ifetch")
-                ts.icache_stall += done - now
-                now = done
-            timing._pending_load_dest = -1
-            ts.base_cycles += latency
-            now += latency
-            ts.cycles = now
-            return forward(record, now)
 
         return handler
 

@@ -12,6 +12,21 @@ A monitoring extension is characterised by three things:
 :class:`MonitorExtension` is the public API for writing extensions;
 the four prototypes of the paper (UMC, DIFT, BC, SEC) subclass it, and
 `examples/custom_monitor.py` shows a fifth, user-defined one.
+
+An extension states its transparent operations one of two ways:
+
+* override :meth:`MonitorExtension.process`, which returns a
+  :class:`PacketOutcome` per packet; or
+* implement :meth:`MonitorExtension.build_op`, one *fabric op* per
+  (instruction class, access shape), as the paper's fabric runs one
+  fixed datapath per configured extension.  An op is
+  ``op(packet, port) -> MonitorTrap | None``: it reads Table-II packet
+  fields plus statics bound when it was built, updates tags in place,
+  and sends each meta-data access through ``port.read(addr)`` /
+  ``port.write(addr, mask)``.  The inherited :meth:`process` runs the
+  op against a :class:`PacketOutcome` (which records the accesses);
+  the interface runs the same op against a port that charges them to
+  the meta-data cache and shared bus as they happen.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from typing import NamedTuple
 from repro.flexcore.cfgr import ForwardConfig
 from repro.flexcore.packet import TracePacket
 from repro.flexcore.shadow import ShadowRegisterFile, TagStore
-from repro.isa.opcodes import FlexOpf
+from repro.isa.opcodes import FlexOpf, InstrClass
 from repro.telemetry.metrics import NULL_METRICS
 
 #: Default base address of the meta-data region.  It is disjoint from
@@ -77,6 +92,11 @@ class PacketOutcome:
         return self
 
 
+def no_op(packet: TracePacket, port) -> None:
+    """The fabric op of a packet an extension takes no action on."""
+    return None
+
+
 class MonitorExtension(abc.ABC):
     """Base class for instruction-grained monitoring extensions."""
 
@@ -102,6 +122,8 @@ class MonitorExtension(abc.ABC):
         #: telemetry bundle is attached); not monitor state, so it is
         #: never part of a snapshot.
         self.metrics = NULL_METRICS
+        #: shape -> (fabric cycles, op) or None, built on first use.
+        self._ops: dict = {}
 
     # -- construction hooks -------------------------------------------------
 
@@ -111,6 +133,8 @@ class MonitorExtension(abc.ABC):
             self.shadow = ShadowRegisterFile(
                 num_physical_registers, self.register_tag_bits
             )
+        # Ops may bind the shadow file's storage; rebuild against it.
+        self._ops = {}
 
     def default_policy(self) -> int:
         """Initial value of the extension's policy register."""
@@ -126,9 +150,52 @@ class MonitorExtension(abc.ABC):
     def forward_config(self) -> ForwardConfig:
         """The CFGR setting this extension programs at boot."""
 
-    @abc.abstractmethod
     def process(self, packet: TracePacket) -> PacketOutcome:
-        """Transparent per-packet operation: bookkeeping + checks."""
+        """Transparent per-packet operation: bookkeeping + checks.
+
+        The default runs the packet's fabric op with the returned
+        outcome as its port; extensions without ops override this.
+        """
+        op = self.fabric_op(self.op_shape(packet.opcode, packet.inst))
+        if op is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither process() nor "
+                f"build_op()"
+            )
+        cycles, run = op
+        outcome = PacketOutcome(cycles)
+        outcome.trap = run(packet, outcome)
+        return outcome
+
+    # -- fabric ops -----------------------------------------------------
+
+    def op_shape(self, klass: InstrClass, inst: int):
+        """Key of the op serving packets of class ``klass`` whose INST
+        field is ``inst``; the default keys ops by class alone."""
+        return klass
+
+    def build_op(self, shape):
+        """``(fabric_cycles, op)`` for one :meth:`op_shape` key, or
+        None when the extension has no op (it overrides
+        :meth:`process` instead).  ``fabric_cycles`` is the packet's
+        initiation interval, fixed per shape.
+
+        The extension caches its ops, so an op that held the extension
+        strongly would make a reference cycle, keeping every finished
+        system alive until the cyclic collector ran: ops reach it
+        through ``weakref.proxy(self)`` and bind its containers, never
+        its bound methods.
+        """
+        return None
+
+    def fabric_op(self, shape):
+        """The op for ``shape``, built once and shared by every packet
+        and every PC of that shape."""
+        try:
+            return self._ops[shape]
+        except KeyError:
+            op = self._ops[shape] = self.build_op(shape)
+            return op
 
     @abc.abstractmethod
     def hardware(self):

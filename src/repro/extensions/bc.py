@@ -14,19 +14,21 @@ same-coloured pointers cancels to 0 — the nibble arithmetic is mod 16.
 
 from __future__ import annotations
 
-from repro.extensions.base import MonitorExtension, PacketOutcome
+import weakref
+
+from repro.extensions.base import MonitorExtension
 from repro.fabric.logic import LogicNetwork, Prim
 from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
-from repro.flexcore.packet import TracePacket
-from repro.isa.opcodes import MEMORY_CLASSES, FlexOpf, InstrClass
+from repro.isa.opcodes import (
+    LOAD_CLASSES,
+    MEMORY_CLASSES,
+    STORE_CLASSES,
+    FlexOpf,
+    InstrClass,
+)
 
 COLOR_MASK = 0xF
 WILDCARD = 0
-
-#: Enum members read per packet, bound once (a module global is
-#: several times cheaper than an enum class-attribute lookup).
-_FLEX = InstrClass.FLEX
-_ARITH_SUB = InstrClass.ARITH_SUB
 
 
 class ArrayBoundCheck(MonitorExtension):
@@ -61,100 +63,113 @@ class ArrayBoundCheck(MonitorExtension):
         """(stored-pointer colour, location colour) of a memory tag."""
         return (tag >> 4) & COLOR_MASK, tag & COLOR_MASK
 
-    def _nibble_mask(self, addr: int, high: bool) -> int:
+    @staticmethod
+    def _nibble_mask(addr: int, high: bool) -> int:
         """Write-enable mask selecting one nibble of this word's 8-bit
         tag within its 32-bit meta-data word."""
         slot = (addr >> 2) % 4  # four 8-bit tags per meta word
         nibble = 0xF0 if high else 0x0F
         return (nibble << (slot * 8)) & 0xFFFFFFFF
 
-    def _pointer_color(self, packet: TracePacket) -> int:
-        """Colour of the effective address = sum of the colours of the
-        address-forming registers (immediates contribute 0)."""
-        c1 = self.shadow.read(packet.src1)
-        c2 = self.shadow.read(packet.src2)
-        return (c1 + c2) & COLOR_MASK
-
-    def process(self, packet: TracePacket) -> PacketOutcome:
-        shadow = self.shadow
+    def build_op(self, klass):
+        ext = weakref.proxy(self)  # see MonitorExtension.build_op
+        # Immediates ride as physical register 0 (%g0), whose shadow
+        # entry is never written: they carry colour 0.
+        color = self.shadow._tags
         tags = self.mem_tags
-        opcode = packet.opcode
+        tag_of = tags._tags.get
+        meta_address = tags.meta_address
+        nibble_mask = self._nibble_mask
 
-        if opcode == _FLEX:
-            outcome = self.handle_flex(packet)
-            opf = packet.opf
-            addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
-            if opf in (FlexOpf.COLOR_PTR, FlexOpf.TAG_SET_REG):
-                shadow.write(packet.dest, self.tagval & COLOR_MASK)
-            elif opf == FlexOpf.TAG_CLR_REG:
-                shadow.write(packet.dest, 0)
-            elif opf == FlexOpf.COLOR_MEM:
-                # Set the location-colour nibble, preserve the rest.
-                ptr_color, _ = self._split(tags.read(addr))
-                tags.write(addr,
-                           (ptr_color << 4) | (self.tagval & COLOR_MASK))
-                outcome.write(tags.meta_address(addr),
-                              self._nibble_mask(addr, high=False))
-            elif opf == FlexOpf.TAG_CLR_MEM:
-                tags.write(addr, 0)
-                outcome.write(tags.meta_address(addr), tags.write_mask(addr))
-            return outcome
+        if klass == InstrClass.FLEX:
+            def flex(packet, port):
+                ext.handle_flex(packet)
+                opf = packet.opf
+                addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
+                if opf in (FlexOpf.COLOR_PTR, FlexOpf.TAG_SET_REG):
+                    ext.shadow.write(packet.dest, ext.tagval & COLOR_MASK)
+                elif opf == FlexOpf.TAG_CLR_REG:
+                    ext.shadow.write(packet.dest, 0)
+                elif opf == FlexOpf.COLOR_MEM:
+                    # Set the location-colour nibble, preserve the rest.
+                    ptr_color, _ = ext._split(tags.read(addr))
+                    tags.write(addr,
+                               (ptr_color << 4) | (ext.tagval & COLOR_MASK))
+                    port.write(meta_address(addr),
+                               nibble_mask(addr, high=False))
+                elif opf == FlexOpf.TAG_CLR_MEM:
+                    tags.write(addr, 0)
+                    port.write(meta_address(addr), tags.write_mask(addr))
+                return None
+            return 1, flex
 
-        outcome = PacketOutcome()
-
-        if packet.is_load:
+        if klass in LOAD_CLASSES:
             # One 8-bit tag read yields both nibbles: the location
             # colour for the bound check and the stored-pointer colour
             # that becomes the destination register's colour.
-            tag = tags.read(packet.addr)
-            outcome.read(tags.meta_address(packet.addr))
-            stored_color, location_color = self._split(tag)
-            pointer_color = self._pointer_color(packet)
-            if (pointer_color != WILDCARD
-                    and pointer_color != location_color):
-                outcome.trap = self.trap(
-                    packet, "out-of-bounds-read",
-                    f"pointer colour {pointer_color} != location colour "
-                    f"{location_color} at {packet.addr:#x}",
-                    addr=packet.addr,
-                )
-            shadow.write(packet.dest, stored_color)
-            return outcome
+            def load(packet, port):
+                addr = packet.addr
+                port.read(meta_address(addr))
+                tag = tag_of(addr >> 2, 0)
+                location = tag & COLOR_MASK
+                pointer = ((color[packet.src1] + color[packet.src2])
+                           & COLOR_MASK)
+                trap = None
+                if pointer != WILDCARD and pointer != location:
+                    trap = ext.trap(
+                        packet, "out-of-bounds-read",
+                        f"pointer colour {pointer} != location colour "
+                        f"{location} at {addr:#x}",
+                        addr=addr,
+                    )
+                dest = packet.dest
+                if dest:
+                    color[dest] = (tag >> 4) & COLOR_MASK
+                return trap
+            return 1, load
 
-        if packet.is_store:
+        if klass in STORE_CLASSES:
             # Check against the location colour, then write the stored
             # data register's colour into the upper nibble.  This is a
             # read followed by a masked write: two meta-cache accesses,
             # hence the 2-cycle initiation interval.
-            tag = tags.read(packet.addr)
-            _, location_color = self._split(tag)
-            pointer_color = self._pointer_color(packet)
-            outcome.read(tags.meta_address(packet.addr))
-            if (pointer_color != WILDCARD
-                    and pointer_color != location_color):
-                outcome.trap = self.trap(
-                    packet, "out-of-bounds-write",
-                    f"pointer colour {pointer_color} != location colour "
-                    f"{location_color} at {packet.addr:#x}",
-                    addr=packet.addr,
-                )
-            data_color = shadow.read(packet.dest)
-            tags.write(packet.addr, (data_color << 4) | location_color)
-            outcome.write(tags.meta_address(packet.addr),
-                          self._nibble_mask(packet.addr, high=True))
-            outcome.fabric_cycles = 2
-            return outcome
+            def store(packet, port):
+                addr = packet.addr
+                location = tag_of(addr >> 2, 0) & COLOR_MASK
+                pointer = ((color[packet.src1] + color[packet.src2])
+                           & COLOR_MASK)
+                port.read(meta_address(addr))
+                trap = None
+                if pointer != WILDCARD and pointer != location:
+                    trap = ext.trap(
+                        packet, "out-of-bounds-write",
+                        f"pointer colour {pointer} != location colour "
+                        f"{location} at {addr:#x}",
+                        addr=addr,
+                    )
+                tags.write(addr, (color[packet.dest] << 4) | location)
+                port.write(meta_address(addr), nibble_mask(addr, high=True))
+                return trap
+            return 2, store
 
         # Pointer arithmetic (and register copies, which SPARC encodes
         # as `or`): additive colour propagation; subtraction cancels.
-        c1 = self.shadow.read(packet.src1)
-        c2 = self.shadow.read(packet.src2)
-        if opcode == _ARITH_SUB:
-            color = (c1 - c2) & COLOR_MASK
-        else:
-            color = (c1 + c2) & COLOR_MASK
-        shadow.write(packet.dest, color)
-        return outcome
+        if klass == InstrClass.ARITH_SUB:
+            def sub(packet, port):
+                dest = packet.dest
+                if dest:
+                    color[dest] = ((color[packet.src1]
+                                    - color[packet.src2]) & COLOR_MASK)
+                return None
+            return 1, sub
+
+        def add(packet, port):
+            dest = packet.dest
+            if dest:
+                color[dest] = ((color[packet.src1] + color[packet.src2])
+                               & COLOR_MASK)
+            return None
+        return 1, add
 
     def hardware(self) -> LogicNetwork:
         """BC datapath: two 4-bit colour datapaths, nibble adders and

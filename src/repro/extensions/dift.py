@@ -10,13 +10,16 @@ register through explicit co-processor instructions.
 
 from __future__ import annotations
 
-from repro.extensions.base import MonitorExtension, PacketOutcome
+import weakref
+
+from repro.extensions.base import MonitorExtension
 from repro.fabric.logic import LogicNetwork, Prim
 from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
-from repro.flexcore.packet import TracePacket
 from repro.isa.opcodes import (
     ALU_CLASSES,
+    LOAD_CLASSES,
     MEMORY_CLASSES,
+    STORE_CLASSES,
     FlexOpf,
     InstrClass,
 )
@@ -28,12 +31,6 @@ POLICY_CHECK_STORE_ADDR = 1 << 2  # trap on store via a tainted pointer
 POLICY_PROPAGATE_LOAD_ADDR = 1 << 3  # OR the pointer taint into the result
 
 DEFAULT_POLICY = POLICY_CHECK_JUMP
-
-#: Enum members read per packet, bound once (a module global is
-#: several times cheaper than an enum class-attribute lookup).
-_FLEX = InstrClass.FLEX
-_JMPL = InstrClass.JMPL
-_SETHI = InstrClass.SETHI
 
 
 class DynamicInformationFlowTracking(MonitorExtension):
@@ -62,84 +59,103 @@ class DynamicInformationFlowTracking(MonitorExtension):
 
     # ------------------------------------------------------------------
 
-    def _source_taint(self, packet: TracePacket) -> int:
-        """OR of the source register taints.  Immediate operands have
-        physical number 0 (= %g0), which always reads as untainted."""
-        return self.shadow.read(packet.src1) | self.shadow.read(packet.src2)
-
-    def process(self, packet: TracePacket) -> PacketOutcome:
-        shadow = self.shadow
+    def build_op(self, klass):
+        ext = weakref.proxy(self)  # see MonitorExtension.build_op
+        # Immediate operands have physical number 0 (= %g0), whose
+        # shadow entry is never written and so reads as untainted.
+        taint = self.shadow._tags
         tags = self.mem_tags
-        opcode = packet.opcode
+        tag_of = tags._tags.get
+        meta_address = tags.meta_address
 
-        if opcode == _FLEX:
-            outcome = self.handle_flex(packet)
-            opf = packet.opf
-            addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
-            if opf == FlexOpf.TAG_SET_REG:
-                shadow.write(packet.dest, self.tagval & 1)
-            elif opf == FlexOpf.TAG_CLR_REG:
-                shadow.write(packet.dest, 0)
-            elif opf == FlexOpf.TAG_SET_MEM:
-                tags.write(addr, self.tagval & 1)
-                outcome.write(tags.meta_address(addr), tags.write_mask(addr))
-            elif opf == FlexOpf.TAG_CLR_MEM:
-                tags.write(addr, 0)
-                outcome.write(tags.meta_address(addr), tags.write_mask(addr))
-            return outcome
+        if klass == InstrClass.FLEX:
+            def flex(packet, port):
+                ext.handle_flex(packet)
+                opf = packet.opf
+                if opf == FlexOpf.TAG_SET_REG:
+                    ext.shadow.write(packet.dest, ext.tagval & 1)
+                elif opf == FlexOpf.TAG_CLR_REG:
+                    ext.shadow.write(packet.dest, 0)
+                elif opf == FlexOpf.TAG_SET_MEM or opf == FlexOpf.TAG_CLR_MEM:
+                    addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
+                    tags.write(addr, ext.tagval & 1
+                               if opf == FlexOpf.TAG_SET_MEM else 0)
+                    port.write(meta_address(addr), tags.write_mask(addr))
+                return None
+            return 1, flex
 
-        outcome = PacketOutcome()
+        if klass in LOAD_CLASSES:
+            def load(packet, port):
+                addr = packet.addr
+                port.read(meta_address(addr))
+                value = tag_of(addr >> 2, 0)
+                pointer = taint[packet.src1] | taint[packet.src2]
+                trap = None
+                if pointer:
+                    policy = ext.policy
+                    if policy & POLICY_PROPAGATE_LOAD_ADDR:
+                        value |= pointer
+                    if policy & POLICY_CHECK_LOAD_ADDR:
+                        trap = ext.trap(
+                            packet, "tainted-load-pointer",
+                            f"load via tainted pointer to {addr:#x}",
+                            addr=addr,
+                        )
+                dest = packet.dest
+                if dest:
+                    taint[dest] = value
+                return trap
+            return 1, load
 
-        if packet.is_load:
-            taint = tags.read(packet.addr)
-            outcome.read(tags.meta_address(packet.addr))
-            pointer_taint = self._source_taint(packet)
-            if self.policy & POLICY_PROPAGATE_LOAD_ADDR:
-                taint |= pointer_taint
-            shadow.write(packet.dest, taint)
-            if pointer_taint and self.policy & POLICY_CHECK_LOAD_ADDR:
-                outcome.trap = self.trap(
-                    packet, "tainted-load-pointer",
-                    f"load via tainted pointer to {packet.addr:#x}",
-                    addr=packet.addr,
-                )
-            return outcome
+        if klass in STORE_CLASSES:
+            def store(packet, port):
+                # The store's data register rides in the DEST slot.
+                addr = packet.addr
+                tags.write(addr, taint[packet.dest])
+                port.write(meta_address(addr), tags.write_mask(addr))
+                if (taint[packet.src1] | taint[packet.src2]
+                        and ext.policy & POLICY_CHECK_STORE_ADDR):
+                    return ext.trap(
+                        packet, "tainted-store-pointer",
+                        f"store via tainted pointer to {addr:#x}",
+                        addr=addr,
+                    )
+                return None
+            return 1, store
 
-        if packet.is_store:
-            # The store's data register rides in the DEST slot.
-            taint = shadow.read(packet.dest)
-            tags.write(packet.addr, taint)
-            outcome.write(
-                tags.meta_address(packet.addr),
-                tags.write_mask(packet.addr),
-            )
-            if (self._source_taint(packet)
-                    and self.policy & POLICY_CHECK_STORE_ADDR):
-                outcome.trap = self.trap(
-                    packet, "tainted-store-pointer",
-                    f"store via tainted pointer to {packet.addr:#x}",
-                    addr=packet.addr,
-                )
-            return outcome
+        if klass == InstrClass.JMPL:
+            def jump(packet, port):
+                trap = None
+                if (taint[packet.src1] | taint[packet.src2]
+                        and ext.policy & POLICY_CHECK_JUMP):
+                    trap = ext.trap(
+                        packet, "tainted-jump",
+                        f"indirect jump to tainted target "
+                        f"{packet.addr:#x}",
+                        addr=packet.addr,
+                    )
+                # The link register receives an untainted PC.
+                dest = packet.dest
+                if dest:
+                    taint[dest] = 0
+                return trap
+            return 1, jump
 
-        if opcode == _JMPL:
-            if self._source_taint(packet) and self.policy & POLICY_CHECK_JUMP:
-                outcome.trap = self.trap(
-                    packet, "tainted-jump",
-                    f"indirect jump to tainted target {packet.addr:#x}",
-                    addr=packet.addr,
-                )
-            # The link register receives an untainted PC.
-            shadow.write(packet.dest, 0)
-            return outcome
-
-        if opcode == _SETHI:
-            shadow.write(packet.dest, 0)
-            return outcome
+        if klass == InstrClass.SETHI:
+            def sethi(packet, port):
+                dest = packet.dest
+                if dest:
+                    taint[dest] = 0
+                return None
+            return 1, sethi
 
         # ALU: OR-propagate source taints to the destination.
-        shadow.write(packet.dest, self._source_taint(packet))
-        return outcome
+        def alu(packet, port):
+            dest = packet.dest
+            if dest:
+                taint[dest] = taint[packet.src1] | taint[packet.src2]
+            return None
+        return 1, alu
 
     def hardware(self) -> LogicNetwork:
         """DIFT datapath: the UMC-style tag-address path plus the

@@ -15,18 +15,16 @@ onto LUTs compared with the bit-sliced tag engines).
 
 from __future__ import annotations
 
-from repro.core.alu import DivisionByZero, execute_alu
-from repro.extensions.base import MonitorExtension, PacketOutcome
+import weakref
+
+from repro.core.alu import ALU_OPS, ALU_VALUE, MASK32, DivisionByZero
+from repro.extensions.base import MonitorExtension, no_op
 from repro.fabric.logic import LogicNetwork, Prim
 from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
-from repro.flexcore.packet import TracePacket
-from repro.isa.opcodes import ALU_CLASSES, InstrClass, Op3
+from repro.isa.opcodes import ALU_CLASSES, InstrClass
 
 MERSENNE_MOD = 7  # 2**3 - 1, Section IV-D
 
-#: Enum members read per packet, bound once (a module global is
-#: several times cheaper than an enum class-attribute lookup).
-_FLEX = InstrClass.FLEX
 #: Classes checked by Mersenne-mod checksum rather than bit for bit.
 _MOD_CHECKED = frozenset({InstrClass.MUL, InstrClass.DIV})
 
@@ -53,45 +51,59 @@ class SoftErrorCheck(MonitorExtension):
         config.set(InstrClass.FLEX, ForwardPolicy.ALWAYS)
         return config
 
-    def process(self, packet: TracePacket) -> PacketOutcome:
-        if packet.opcode == _FLEX:
-            return self.handle_flex(packet)
+    def op_shape(self, klass, inst):
+        """SEC's datapath depends on the ALU operation, so its ops are
+        keyed by class and the format-3 ``op3`` field of INST (None
+        for any other format)."""
+        return klass, ((inst >> 19) & 0x3F if inst >> 30 == 2 else None)
 
-        outcome = PacketOutcome()
-        record = packet.record
-        if record is None or record.instr.opcode is None:
-            return outcome
-        op3 = record.instr.opcode
-        if not isinstance(op3, Op3):
-            return outcome
+    def build_op(self, shape):
+        ext = weakref.proxy(self)  # see MonitorExtension.build_op
+        klass, op3 = shape
+        if klass == InstrClass.FLEX:
+            def flex(packet, port):
+                ext.handle_flex(packet)
+                return None
+            return 1, flex
 
-        try:
-            check = execute_alu(op3, packet.srcv1, packet.srcv2,
-                                packet.carry_in, packet.extra)
-        except DivisionByZero:
-            return outcome
-        except ValueError:
-            # Not a re-executable ALU op (e.g. a CFGR upset forwarded
-            # a ticc/jmpl packet SEC never asked for): nothing to
-            # check — the hardware checker would simply pass it by.
-            return outcome
+        # A FORMAT3_ALU op the checker cannot re-execute (e.g. a CFGR
+        # upset forwarded a ticc/jmpl packet SEC never asked for), or
+        # any other format: nothing to check — the hardware checker
+        # would simply pass it by.
+        alu_op = ALU_OPS.get(op3)
+        if alu_op is None:
+            return 1, no_op
+        # The hardware checker compares Mersenne-mod checksums of
+        # products and quotients rather than recomputing them in full.
+        mod_checked = klass in _MOD_CHECKED
+        value_of = ALU_VALUE.get(op3)
 
-        expected = check.value
-        actual = packet.res
-        if packet.opcode in _MOD_CHECKED:
-            # The hardware checker compares Mersenne-mod checksums
-            # rather than recomputing the full product/quotient.
-            mismatch = (expected % MERSENNE_MOD) != (actual % MERSENNE_MOD)
-        else:
-            mismatch = expected != actual
-        if mismatch:
-            self.errors_detected += 1
-            outcome.trap = self.trap(
-                packet, "soft-error",
-                f"ALU check failed: core produced {actual:#010x}, "
-                f"checker expects {expected:#010x}",
-            )
-        return outcome
+        def check(packet, port):
+            if value_of is not None:
+                expected = value_of(packet.srcv1 & MASK32,
+                                    packet.srcv2 & MASK32)
+            else:
+                try:
+                    expected = alu_op(packet.srcv1 & MASK32,
+                                      packet.srcv2 & MASK32,
+                                      packet.carry_in, packet.extra).value
+                except DivisionByZero:
+                    return None
+            actual = packet.res
+            if mod_checked:
+                mismatch = (expected % MERSENNE_MOD
+                            != actual % MERSENNE_MOD)
+            else:
+                mismatch = expected != actual
+            if mismatch:
+                ext.errors_detected += 1
+                return ext.trap(
+                    packet, "soft-error",
+                    f"ALU check failed: core produced {actual:#010x}, "
+                    f"checker expects {expected:#010x}",
+                )
+            return None
+        return 1, check
 
     def status_word(self) -> int:
         return self.errors_detected & 0xFFFFFFFF

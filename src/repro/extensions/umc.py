@@ -9,15 +9,20 @@ cache using its bit-granular write capability.
 
 from __future__ import annotations
 
-from repro.extensions.base import MonitorExtension, PacketOutcome
+import weakref
+
+from repro.extensions.base import MonitorExtension, no_op
 from repro.fabric.logic import LogicNetwork, Prim
 from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
-from repro.flexcore.packet import TracePacket
-from repro.isa.opcodes import MEMORY_CLASSES, FlexOpf, InstrClass
+from repro.isa.opcodes import (
+    LOAD_CLASSES,
+    MEMORY_CLASSES,
+    STORE_CLASSES,
+    FlexOpf,
+    InstrClass,
+)
 
-#: Enum members read per packet, bound once (a module global is
-#: several times cheaper than an enum class-attribute lookup).
-_FLEX = InstrClass.FLEX
+_DOUBLE = (InstrClass.LOAD_DOUBLE, InstrClass.STORE_DOUBLE)
 
 
 class UninitializedMemoryCheck(MonitorExtension):
@@ -44,44 +49,59 @@ class UninitializedMemoryCheck(MonitorExtension):
         if program.data:
             tags.fill_range(program.data_base, len(program.data), 1)
 
-    def process(self, packet: TracePacket) -> PacketOutcome:
+    def build_op(self, klass):
+        ext = weakref.proxy(self)  # see MonitorExtension.build_op
         tags = self.mem_tags
-        if packet.opcode == _FLEX:
-            outcome = self.handle_flex(packet)
-            addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
-            if packet.opf == FlexOpf.TAG_CLR_MEM:
-                tags.write(addr, 0)
-                outcome.write(tags.meta_address(addr), tags.write_mask(addr))
-            elif packet.opf == FlexOpf.TAG_SET_MEM:
-                tags.write(addr, 1)
-                outcome.write(tags.meta_address(addr), tags.write_mask(addr))
-            return outcome
+        tag_of = tags._tags.get
+        meta_address = tags.meta_address
+        write_mask = tags.write_mask
 
-        outcome = PacketOutcome()
-        addr = packet.addr
-        if packet.is_store:
+        if klass == InstrClass.FLEX:
+            def flex(packet, port):
+                ext.handle_flex(packet)
+                opf = packet.opf
+                if opf == FlexOpf.TAG_CLR_MEM or opf == FlexOpf.TAG_SET_MEM:
+                    addr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
+                    tags.write(addr, int(opf == FlexOpf.TAG_SET_MEM))
+                    port.write(meta_address(addr), write_mask(addr))
+                return None
+            return 1, flex
+
+        # A doubleword touches two tags (two cycles); every narrower
+        # access lies inside one word.
+        words = 2 if klass in _DOUBLE else 1
+        offsets = range(0, 4 * words, 4)
+        if klass in STORE_CLASSES:
             # A store (even sub-word) marks the containing word(s)
             # initialized; the bit-granular cache write needs no
             # read-modify-write.
-            for offset in range(0, packet.access_size or 4, 4):
-                tags.write(addr + offset, 1)
-                outcome.write(
-                    tags.meta_address(addr + offset),
-                    tags.write_mask(addr + offset),
-                )
-            outcome.fabric_cycles = max(1, (packet.access_size or 4) // 4)
-        elif packet.is_load:
-            for offset in range(0, packet.access_size or 4, 4):
-                outcome.read(tags.meta_address(addr + offset))
-                if not tags.read(addr + offset):
-                    outcome.trap = self.trap(
-                        packet,
-                        "uninitialized-read",
-                        f"load from uninitialized word {addr + offset:#x}",
-                        addr=addr + offset,
-                    )
-            outcome.fabric_cycles = max(1, (packet.access_size or 4) // 4)
-        return outcome
+            def store(packet, port):
+                addr = packet.addr
+                for offset in offsets:
+                    tags.write(addr + offset, 1)
+                    port.write(meta_address(addr + offset),
+                               write_mask(addr + offset))
+                return None
+            return words, store
+
+        if klass in LOAD_CLASSES:
+            def load(packet, port):
+                addr = packet.addr
+                trap = None
+                for offset in offsets:
+                    port.read(meta_address(addr + offset))
+                    if not tag_of((addr + offset) >> 2, 0):
+                        trap = ext.trap(
+                            packet,
+                            "uninitialized-read",
+                            f"load from uninitialized word "
+                            f"{addr + offset:#x}",
+                            addr=addr + offset,
+                        )
+                return trap
+            return words, load
+
+        return 1, no_op
 
     def hardware(self) -> LogicNetwork:
         """UMC datapath: address translation (constant shift is free

@@ -51,8 +51,11 @@ class DecouplingFifo:
             )
 
     # Each method below retires the packets drained by ``now`` in one
-    # pass over the queue head and calls no other: the interface asks
-    # ``is_full`` and ``push`` on every forwarded instruction.
+    # pass over the queue head and calls no other.  The reference
+    # interface asks ``is_full`` and ``push`` per forwarded packet; the
+    # fast engine's forward tail inlines the same retire/check/append
+    # on ``_drains``, which therefore stays one deque for life (reset
+    # and restore update it in place).
 
     def occupancy(self, now: int) -> int:
         """Entries still resident at time ``now``."""
@@ -124,5 +127,7 @@ class DecouplingFifo:
         }
 
     def restore_state(self, state: dict) -> None:
-        self._drains = deque(state["drains"])
+        drains = self._drains
+        drains.clear()
+        drains.extend(state["drains"])
         self.stats = FifoStats(**state["stats"])

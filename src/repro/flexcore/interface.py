@@ -17,11 +17,24 @@ instruction it:
 
 Timing is event-driven: the fabric's service schedule is computed at
 enqueue time, which is exact for an in-order, single-engine fabric.
+
+The fabric is configured once, so its service is too.
+:meth:`CoreFabricInterface.service_for` hands the fast engine one
+service closure per (instruction class, access shape).  It binds the
+configuration's constants (period, synchroniser, decode penalty) and
+runs the extension's fabric op against a :class:`MetaPort`, which
+charges each meta-data access to the cache and the shared bus as the
+op makes it.  :meth:`CoreFabricInterface._service` is the reference:
+it calls ``extension.process``, which runs the same op against a
+:class:`~repro.extensions.base.PacketOutcome`, then replays the
+recorded accesses through the same port, behind the meta-data TLB
+when that is on, and emits the tracer's events.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -122,6 +135,43 @@ class InterfaceStats:
         return self.forwarded / self.committed if self.committed else 0.0
 
 
+class MetaPort:
+    """The timing port a fabric op sends meta-data accesses through.
+
+    ``time`` is the packet's fabric time; a service sets it before the
+    op runs and reads it back after.  A read that misses stalls the
+    fabric while the line is refilled over the shared bus; a write is
+    a posted write-through word write that occupies the bus without
+    stalling the fabric.  The port reaches the interface (for its
+    stats, which ``restore_state`` replaces) through a weak proxy: the
+    interface owns the port, and a strong reference back would keep a
+    finished system alive until the cyclic collector ran.
+    """
+
+    __slots__ = ("time", "_iface", "_cache", "_bus", "_tracer")
+
+    def __init__(self, iface: "CoreFabricInterface"):
+        self.time = 0.0
+        self._iface = weakref.proxy(iface)
+        self._cache = iface.meta_cache
+        self._bus = iface.bus
+        self._tracer = iface._tracer
+
+    def read(self, addr: int) -> None:
+        if not self._cache.read(addr):
+            time = self.time
+            done = self._bus.line_refill(int(time), "meta-refill")
+            self._iface.stats.meta_stall_cycles += done - time
+            if self._tracer is not None:
+                self._tracer.span(time, done - time, "mcache",
+                                  "mcache.refill", addr=addr)
+            self.time = done
+
+    def write(self, addr: int, mask: int = 0xFFFFFFFF) -> None:
+        self._cache.write_bits(addr, mask)
+        self._bus.word_write(int(self.time), "meta-write")
+
+
 class CoreFabricInterface:
     """FIFO interface + fabric service model for one extension."""
 
@@ -163,6 +213,9 @@ class CoreFabricInterface:
                 "fabric.packet_latency",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
             )
+        self._port = MetaPort(self)
+        #: op shape -> specialised service, built on first use.
+        self._services: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -183,28 +236,20 @@ class CoreFabricInterface:
         start = self._fabric_free
         if earliest > start:
             start = earliest
-        time = start + cycles * period
 
-        # Meta-data accesses: reads stall the fabric on a miss while
-        # the line is refilled over the shared bus; writes go through
-        # write-through posted writes that occupy the bus but do not
-        # stall the fabric.
+        # Replay the meta-data accesses through the timing port, each
+        # behind a TLB lookup when the TLB is on.
+        port = self._port
+        port.time = start + cycles * period
         tlb = config.meta_tlb_entries > 0
         for access in outcome.meta_accesses:
             if tlb:
-                time = self._tlb_lookup(access.addr, time)
+                port.time = self._tlb_lookup(access.addr, port.time)
             if access.kind == "read":
-                if not self.meta_cache.read(access.addr):
-                    done = self.bus.line_refill(int(time), "meta-refill")
-                    self.stats.meta_stall_cycles += done - time
-                    if self._tracer is not None:
-                        self._tracer.span(time, done - time, "mcache",
-                                          "mcache.refill",
-                                          addr=access.addr)
-                    time = done
+                port.read(access.addr)
             else:
-                self.meta_cache.write_bits(access.addr, access.mask)
-                self.bus.word_write(int(time), "meta-write")
+                port.write(access.addr, access.mask)
+        time = port.time
 
         self.stats.fabric_busy_cycles += time - start
         self._fabric_free = time
@@ -217,6 +262,65 @@ class CoreFabricInterface:
                                      kind=outcome.trap.kind,
                                      pc=outcome.trap.pc)
         return time
+
+    def service_for(self, klass: InstrClass, inst: int):
+        """The fabric service for forwarded packets of class ``klass``
+        whose INST field is ``inst``: ``service(packet, enqueue_time)
+        -> drain time``, exactly what :meth:`_service` returns.
+
+        It is specialised to the extension's op for that shape unless
+        the run needs the reference path: a tracer (its events live in
+        ``_service``), a meta-data TLB, a ``process`` that is not the
+        op adapter (overridden, or patched on the instance as the
+        ``fifo-drop`` fault does), or an extension without ops.
+        """
+        from repro.extensions.base import MonitorExtension
+
+        extension = self.extension
+        if (self._tracer is not None or self.config.meta_tlb_entries
+                or getattr(extension.process, "__func__", None)
+                is not MonitorExtension.process):
+            return self._service
+        shape = extension.op_shape(klass, inst)
+        service = self._services.get(shape)
+        if service is None:
+            op = extension.fabric_op(shape)
+            if op is None:
+                return self._service
+            service = self._services[shape] = self._specialise(*op)
+        return service
+
+    def _specialise(self, cycles: int, op):
+        """``_service`` with the packet's op and initiation interval
+        fixed, the configuration folded into constants, and no TLB or
+        tracer branches (``service_for`` keeps those runs on
+        ``_service``)."""
+        config = self.config
+        period = self._period
+        if not config.predecode:
+            cycles += config.decode_penalty
+        busy = cycles * period
+        sync = config.sync_fabric_cycles * period
+        ceil = math.ceil
+        port = self._port
+        iface = self
+
+        def service(packet: TracePacket, enqueue_time: float) -> float:
+            earliest = ceil((enqueue_time + sync) / period) * period
+            start = iface._fabric_free
+            if earliest > start:
+                start = earliest
+            port.time = start + busy
+            trap = op(packet, port)
+            time = port.time
+            iface.stats.fabric_busy_cycles += time - start
+            iface._fabric_free = time
+            if trap is not None and iface.pending_trap is None:
+                iface.pending_trap = trap
+                iface.trap_time = time
+            return time
+
+        return service
 
     def _tlb_lookup(self, addr: int, time: float) -> float:
         """Translate a meta-data address; a miss costs a table walk

@@ -10,6 +10,11 @@ register windows for free.
 Memory meta-data is held in a :class:`TagStore` keyed by word address;
 its *timing* (the 4-KB meta-data cache, bus refills) is modelled by
 :class:`~repro.memory.cache.MetadataCache` in the interface.
+
+Both stores keep one container for life: ``clear`` and
+``restore_state`` update it in place, so an extension's fabric ops
+may bind it once.  Entry 0 of the shadow file (%g0) is never written,
+so it always reads 0.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class ShadowRegisterFile:
         self._tags[phys_index] = tag & self._mask
 
     def clear(self) -> None:
-        self._tags = [0] * self.num_registers
+        self._tags[:] = [0] * self.num_registers
 
     def nonzero_count(self) -> int:
         return sum(1 for tag in self._tags if tag)
@@ -115,6 +120,8 @@ class TagStore:
 
     def restore_state(self, state: dict) -> None:
         self.base = state["base"]
-        self._tags = {
-            int(word): tag for word, tag in state["tags"].items()
-        }
+        tags = self._tags
+        tags.clear()
+        tags.update(
+            (int(word), tag) for word, tag in state["tags"].items()
+        )

@@ -113,6 +113,20 @@ class TestMetadataCache:
         cache.read(0x40)
         assert cache.write_bits(0x40, 0xF)
 
+    def test_sets_survive_restore(self):
+        """The interface's timing port binds the cache's lookups once,
+        so restore must update every set list in place."""
+        cache = MetadataCache()
+        sets = cache._sets
+        ways = list(sets)
+        cache.read(0x40)
+        state = cache.snapshot_state()
+        cache.read(0x1040)
+        cache.restore_state(state)
+        assert cache._sets is sets
+        assert all(a is b for a, b in zip(cache._sets, ways))
+        assert cache.contains(0x40) and not cache.contains(0x1040)
+
 
 @st.composite
 def access_sequences(draw):

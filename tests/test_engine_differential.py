@@ -24,7 +24,11 @@ the loop control:
   stalls, the meta-data TLB, fabric-side decode, a 1X fabric, and
   forwarded branches and calls;
 * the fault models that run on the fast engine (``fifo-drop`` and
-  ``lut-config``), one armed fault each.
+  ``lut-config``), one armed fault each;
+* which fabric service the fast engine's forward tail installs: the
+  paper monitors' specialised ops by default, the reference
+  ``_service`` under a tracer, a meta-data TLB, an armed ``fifo-drop``
+  or an MDL monitor.
 """
 
 import pytest
@@ -260,12 +264,13 @@ def test_paper_workloads_bit_identical(workload, extension):
 # Layer 3: checkpoint/restore and recovery.
 
 
+@pytest.mark.parametrize("extension", ("umc", "dift", "bc", "sec"))
 @pytest.mark.parametrize("engine", FUSED_ENGINES)
-def test_fused_engine_checkpoint_restore_round_trip(engine):
+def test_fused_engine_checkpoint_restore_round_trip(engine, extension):
     program = build_workload("bitcount", 0.125).build()
 
     captured = []
-    system = FlexCoreSystem(program, create_extension("umc"))
+    system = FlexCoreSystem(program, create_extension(extension))
     checkpointed = system.run_bounded(
         engine=engine, checkpoint_every=2_000,
         on_checkpoint=lambda s, state: captured.append(
@@ -276,14 +281,14 @@ def test_fused_engine_checkpoint_restore_round_trip(engine):
     assert checkpointed.halted
     assert captured, "run too short to checkpoint"
 
-    uninterrupted = _run_one(program, "umc", "reference")
+    uninterrupted = _run_one(program, extension, "reference")
     assert (result_fingerprint(checkpointed)
             == result_fingerprint(uninterrupted))
 
     snapshot = captured[len(captured) // 2]
     for resume_engine in (engine, "reference"):
         resumed_system = FlexCoreSystem(program,
-                                        create_extension("umc"))
+                                        create_extension(extension))
         snapshot.restore_into(resumed_system)
         resumed = resumed_system.run_bounded(engine=resume_engine)
         assert resumed.engine == resume_engine
@@ -501,7 +506,7 @@ def test_record_hooks_fall_back_to_reference_loop():
 
 ENGINES = ("reference",) + FUSED_ENGINES
 CONFIG_KERNELS = ("bitcount", "basicmath")
-CONFIG_MONITORS = ("umc", "dift", "bc")
+CONFIG_MONITORS = ("umc", "dift", "bc", "sec")
 
 
 def _best_effort_memory(system):
@@ -626,3 +631,134 @@ def test_armed_fault_bit_identical_across_engines(model):
             f"{spec} had no effect")
     for engine in FUSED_ENGINES:
         assert outcomes[engine] == outcomes["reference"]
+
+
+# ---------------------------------------------------------------------------
+# Layer 7: the fabric service the forward tail installs.
+
+PAPER_MONITORS = ("umc", "dift", "bc", "sec")
+
+#: Classes the fast engine never fuses: they commit through
+#: ``on_commit``, which always calls the reference ``_service``.
+UNFUSED_CLASSES = frozenset({
+    InstrClass.FLEX, InstrClass.JMPL, InstrClass.TRAP, InstrClass.SAVE,
+    InstrClass.RESTORE, InstrClass.RDSR, InstrClass.WRSR,
+    InstrClass.RETT, InstrClass.LOAD_DOUBLE, InstrClass.STORE_DOUBLE,
+})
+
+
+def _probe_services(system):
+    """Record, per class, whether ``service_for`` installed a
+    specialised service, and count the packets per class that reach
+    the reference ``_service``."""
+    iface = system.interface
+    reference = iface._service
+    installed: dict = {}
+    reached: dict = {}
+
+    def counted(packet, now):
+        reached[packet.opcode] = reached.get(packet.opcode, 0) + 1
+        return reference(packet, now)
+
+    real_service_for = iface.service_for
+
+    def service_for(klass, inst):
+        service = real_service_for(klass, inst)
+        installed.setdefault(klass, set()).add(service is not counted)
+        return service
+
+    iface._service = counted
+    iface.service_for = service_for
+    return installed, reached
+
+
+def _fused_forwarded(result):
+    return {klass for klass, count
+            in result.interface_stats.forwarded_by_class.items()
+            if count and klass not in UNFUSED_CLASSES}
+
+
+@pytest.mark.parametrize("extension", PAPER_MONITORS)
+def test_paper_monitors_run_specialised_services(extension):
+    program = build_workload("sha", 0.125).build()
+    system = _configured_system(program, extension)
+    installed, reached = _probe_services(system)
+    result = system.run_bounded(engine="fast")
+    assert result.engine == "fast"
+    fused = _fused_forwarded(result)
+    assert fused, "no fused class was forwarded"
+    assert fused <= set(installed)
+    assert all(kinds == {True} for kinds in installed.values()), installed
+    assert not fused & set(reached), reached
+    reference = _configured_system(program, extension).run_bounded(
+        engine="reference")
+    _assert_identical(reference, result)
+
+
+def _arm_fifo_drop(system):
+    create_model("fifo-drop").arm(
+        system, FaultSpec.make("fifo-drop", index=500))
+
+
+#: name -> (extension, InterfaceConfig overrides, system tweak): each
+#: run must keep every forwarded packet on the reference ``_service``.
+GENERIC_PATH_RUNS = {
+    "meta-tlb-4": ("dift", {"meta_tlb_entries": 4}, None),
+    "fifo-drop": ("dift", {}, _arm_fifo_drop),
+    "mdl-umc": ("mdl:umc", {}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERIC_PATH_RUNS))
+def test_reference_service_where_the_run_needs_it(case):
+    extension, overrides, tweak = GENERIC_PATH_RUNS[case]
+    program = build_workload("bitcount", 0.125).build()
+    config = experiment_system_config(clock_ratio=_fabric_ratio(extension))
+    for name, value in overrides.items():
+        setattr(config.interface, name, value)
+    system = FlexCoreSystem(program, _make_extension(extension), config)
+    if tweak is not None:
+        tweak(system)
+    installed, reached = _probe_services(system)
+    result = system.run_bounded(engine="fast")
+    assert result.engine == "fast"
+    assert _fused_forwarded(result) <= set(installed)
+    assert all(kinds == {False} for kinds in installed.values()), installed
+    assert sum(reached.values()) == result.interface_stats.forwarded > 0
+
+
+def test_tracer_keeps_the_reference_service():
+    """A tracer already sends the whole run down the reference loop;
+    ``service_for`` refuses to specialise under one all the same,
+    since the tracer's events live in ``_service``."""
+    program = build_workload("bitcount", 0.125).build()
+    system = FlexCoreSystem(program, create_extension("dift"),
+                            telemetry=Telemetry.enabled(trace=True))
+    iface = system.interface
+    word = system.memory.read_word(program.entry)
+    assert iface.service_for(InstrClass.LOAD_WORD, word) == iface._service
+    result = system.run_bounded(engine="fast")
+    assert result.engine == "reference"
+
+
+def test_branch_upset_to_dift_runs_specialised():
+    """A CFGR upset that forwards branches (best effort) to DIFT: the
+    fast engine serves them with DIFT's op for the class, and the run
+    stays identical to the reference."""
+    spec = FaultSpec.make("lut-config", bit=2 * int(InstrClass.BRANCH))
+    program = build_workload("bitcount", 0.125).build()
+    runs = {}
+    for engine in ENGINES:
+        system = _configured_system(program, "dift")
+        create_model("lut-config").arm(system, spec)
+        assert (system.interface.cfgr.policy(InstrClass.BRANCH)
+                == ForwardPolicy.BEST_EFFORT)
+        installed, reached = _probe_services(system)
+        runs[engine] = system.run_bounded(engine=engine)
+        if engine == "fast":
+            assert installed[InstrClass.BRANCH] == {True}
+            assert InstrClass.BRANCH not in reached
+    forwarded = runs["reference"].interface_stats.forwarded_by_class
+    assert forwarded.get(InstrClass.BRANCH, 0) > 0
+    for engine in FUSED_ENGINES:
+        _assert_identical(runs["reference"], runs[engine])

@@ -62,6 +62,12 @@ class TestTable4:
             for other in ("dift", "sec"):
                 assert umc <= table4.geomean(other, ratio)
 
+    def test_sha_nearly_free_under_umc(self, table4):
+        """DESIGN.md: sha is nearly free for UMC (1.002 at this scale;
+        UMC's geomean 1.001)."""
+        assert table4.cell("sha", "umc", 0.5).normalized_time < 1.02
+        assert table4.geomean("umc", 0.5) < 1.03
+
     def test_asic_point_near_one(self, table4):
         """At 1X (the ASIC comparison) overheads stay under ~10%."""
         for ext in ("umc", "dift", "bc", "sec"):

@@ -104,6 +104,20 @@ class TestDecouplingFifo:
                 fifo.push(time, time + service)
             assert 0 <= fifo.occupancy(time) <= 4
 
+    def test_drain_queue_survives_restore_and_reset(self):
+        """The fast engine's forward tail binds ``_drains`` once, so
+        restore and reset must update that deque in place."""
+        fifo = DecouplingFifo(4)
+        drains = fifo._drains
+        fifo.push(0, 10)
+        state = fifo.snapshot_state()
+        fifo.push(1, 20)
+        fifo.restore_state(state)
+        assert fifo._drains is drains
+        assert list(drains) == [10] and fifo.stats.enqueued == 1
+        fifo.reset()
+        assert fifo._drains is drains and not drains
+
 
 class TestPacket:
     def test_field_widths_match_table2(self):
@@ -143,6 +157,19 @@ class TestShadowRegisterFile:
     def test_width_bounds(self):
         with pytest.raises(ValueError):
             ShadowRegisterFile(8, tag_bits=9)
+
+    def test_tag_list_survives_restore_and_clear(self):
+        """Fabric ops bind ``_tags`` once, so restore and clear must
+        update that list in place."""
+        shadow = ShadowRegisterFile(16, tag_bits=8)
+        tags = shadow._tags
+        shadow.write(3, 7)
+        state = shadow.snapshot_state()
+        shadow.write(3, 9)
+        shadow.restore_state(state)
+        assert shadow._tags is tags and shadow.read(3) == 7
+        shadow.clear()
+        assert shadow._tags is tags and shadow.nonzero_count() == 0
 
 
 class TestTagStore:
@@ -186,6 +213,20 @@ class TestTagStore:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             TagStore(tag_bits=3)
+
+    def test_tag_dict_survives_restore(self):
+        """Fabric ops bind ``_tags`` once, so restore must update that
+        dict in place, base included."""
+        tags = TagStore(tag_bits=1, base=0x4000_0000)
+        table = tags._tags
+        tags.write(0x100, 1)
+        state = tags.snapshot_state()
+        tags.write(0x104, 1)
+        tags.base = 0x5000_0000
+        tags.restore_state(state)
+        assert tags._tags is table
+        assert tags.read(0x100) == 1 and tags.read(0x104) == 0
+        assert tags.base == 0x4000_0000
 
     @given(st.integers(0, 1 << 24), st.sampled_from([1, 2, 4, 8]))
     def test_property_mask_aligns_with_meta_address(self, addr, bits):

@@ -1,6 +1,9 @@
 """Core-fabric interface: forwarding policies, backpressure, acks,
 clock-domain timing."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.executor import CommitRecord
@@ -149,3 +152,26 @@ class TestDecodeAblation:
         fast.on_commit(load_record(), 0)
         slow.on_commit(load_record(), 0)
         assert slow.drain_time() > fast.drain_time()
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("name", ["umc", "dift", "bc", "sec"])
+    def test_reference_run_freed_by_reference_counting(self, name):
+        """The extension caches its fabric ops and the interface owns
+        its timing port; neither may hold its owner strongly, or every
+        finished system would wait for the cyclic collector."""
+        from repro.flexcore.system import FlexCoreSystem
+        from repro.workloads import build_workload
+
+        program = build_workload("bitcount", 0.03125).build()
+        gc.disable()
+        try:
+            system = FlexCoreSystem(program, create_extension(name))
+            system.run_bounded(engine="reference")
+            assert system.extension._ops
+            owners = [weakref.ref(system.interface),
+                      weakref.ref(system.extension)]
+            del system
+            assert [ref() for ref in owners] == [None, None]
+        finally:
+            gc.enable()
