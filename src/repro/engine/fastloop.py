@@ -7,6 +7,13 @@ delivery and crash wrapping — and returns the ``(now, trap,
 termination, error, recoveries, recovery_cycles)`` tuple
 ``FlexCoreSystem.run_bounded``'s shared result tail consumes.
 
+The three instret-driven watchdogs (limit, deadline stride,
+checkpoint) fold into one bound, ``next_event``, so a step tests
+``instret >= next_event`` and the cycle cap and nothing else; when
+either trips, every watchdog is checked in its fixed order — limit,
+cycle cap, deadline, checkpoint — and the bound is recomputed, as it
+is after a rollback.
+
 What a committed instruction *does* comes from the engine's table, a
 ``handlers`` dict of PC -> ``step(now) -> now`` filled lazily by
 ``build(pc)``, plus an ``annulled(now)`` step the loop calls only
@@ -108,6 +115,10 @@ def run_loop(
                      else cpu.instret + stride)
     next_checkpoint = (_INFINITY if checkpoint_every is None
                        else cpu.instret + checkpoint_every)
+    #: the first instret at which the limit, the deadline stride or a
+    #: checkpoint is due; recompute it whenever any of the three moves.
+    next_event = min(limit, next_deadline, next_checkpoint)
+    watch_traps = iface is not None and stop_on_trap
     checkpoint: dict | None = None
     #: when the current attempt from ``checkpoint`` started — the
     #: capture time until a rollback, then the resume time.  Wasted
@@ -121,39 +132,42 @@ def run_loop(
         checkpoint = system.snapshot_state()
 
     while not cpu.halted:
-        instret = cpu.instret
-        if instret >= limit:
-            termination = Termination.INSTRUCTION_LIMIT
-            error = SimulationError(
-                f"instruction limit {limit} exceeded at "
-                f"pc={cpu.pc:#x} — runaway program?",
-                pc=cpu.pc, instret=instret, cycle=int(now),
-            )
-            break
-        if now >= max_c:
-            termination = Termination.CYCLE_LIMIT
-            break
-        if instret >= next_deadline:
-            next_deadline = instret + stride
-            if time.monotonic() >= deadline:
-                termination = Termination.DEADLINE
+        if cpu.instret >= next_event or now >= max_c:
+            instret = cpu.instret
+            if instret >= limit:
+                termination = Termination.INSTRUCTION_LIMIT
+                error = SimulationError(
+                    f"instruction limit {limit} exceeded at "
+                    f"pc={cpu.pc:#x} — runaway program?",
+                    pc=cpu.pc, instret=instret, cycle=int(now),
+                )
                 break
-        if instret >= next_checkpoint:
-            next_checkpoint = instret + checkpoint_every
-            system.now = now
-            checkpoint = system.snapshot_state()
-            replay_from = now
-            if on_checkpoint is not None:
-                next_checkpoint = (on_checkpoint(system, checkpoint)
-                                   or next_checkpoint)
+            if now >= max_c:
+                termination = Termination.CYCLE_LIMIT
+                break
+            if instret >= next_deadline:
+                next_deadline = instret + stride
+                if time.monotonic() >= deadline:
+                    termination = Termination.DEADLINE
+                    break
+            if instret >= next_checkpoint:
+                next_checkpoint = instret + checkpoint_every
+                system.now = now
+                checkpoint = system.snapshot_state()
+                replay_from = now
+                if on_checkpoint is not None:
+                    next_checkpoint = (on_checkpoint(system, checkpoint)
+                                       or next_checkpoint)
+            next_event = min(limit, next_deadline, next_checkpoint)
 
         pc = cpu.pc
         try:
             if cpu._annul_next:
                 now = annulled(now)
             else:
-                handler = handlers.get(pc)
-                if handler is None:
+                try:
+                    handler = handlers[pc]
+                except KeyError:
                     handler = build(pc)
                 now = handler(now)
         except SimulationError as err:
@@ -171,8 +185,7 @@ def run_loop(
             error = wrapped
             break
 
-        if (iface is not None and iface.pending_trap is not None
-                and stop_on_trap):
+        if watch_traps and iface.pending_trap is not None:
             if (recover and checkpoint is not None
                     and recoveries < recovery_limit):
                 # Roll back and re-execute.  The restored state
@@ -190,6 +203,7 @@ def run_loop(
                 recovery_cycles += wasted
                 if checkpoint_every is not None:
                     next_checkpoint = cpu.instret + checkpoint_every
+                next_event = min(limit, next_deadline, next_checkpoint)
                 # The rollback rewound memory (possibly text), so the
                 # old table may be stale; rebuild lazily.
                 table = table_class(system)

@@ -50,17 +50,32 @@ Fidelity rules the closures follow:
   with the same types and messages, ``instret`` only increments after
   the fallible functional work, and mutable collaborators that
   ``restore_state`` *replaces* (``timing.stats``, ``iface.stats``,
-  ``fifo.stats``, ``cpu.codes``) are re-read through their stable
-  owner on every call.  Containers restored in place (the FIFO's
-  drain queue, the monitor's tag stores) may be bound once.
+  ``fifo.stats``, ``cpu.codes``, each cache's ``stats``) are re-read
+  through their stable owner on every call, as is the register
+  file's window map ``regs._map``, which every CWP change rebuilds.
+  Containers restored in place may be bound once: the FIFO's drain
+  queue, the monitor's tag stores, the register bank ``regs._phys``
+  and the caches' per-set tag lists.
+* Registers, fetch and fused loads index those containers directly.
+  An operand reads ``bank[m[rs]]`` (``%g0`` reads 0, a write to it is
+  dropped) and ``m[rs]`` is the packet's physical register number.  A
+  handler's PC is static, so its I-cache set and line tag are too: a
+  hit on the set's MRU way only bumps ``read_hits``, and anything else
+  calls ``Cache.read``.  Fused loads do the same on the D-cache with
+  the tag of the computed address.
 * Stores into the text section invalidate the handler for the written
-  word, so self-modifying code re-predecodes on next execution.
+  word, so self-modifying code re-predecodes on next execution.  The
+  store closures reach the table through a ``weakref.proxy``, so a
+  finished table is no reference cycle and the system it ran is freed
+  by reference counting.
 
 Handlers are built lazily (on first execution of each PC), so a table
 never describes memory it has not read.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from repro.core.alu import ALU_OPS, ALU_VALUE, CONDITIONS
 from repro.flexcore.cfgr import ForwardPolicy
@@ -254,7 +269,8 @@ class HandlerTable:
     # ------------------------------------------------------------------
     # Closure factories.  Each captures only objects that are stable
     # across restore_state (the cpu/timing/interface *owners*, bound
-    # methods of in-place-mutated collaborators) plus per-PC statics.
+    # methods of in-place-mutated collaborators, containers restored
+    # in place) plus per-PC statics.
     #
     # ``forward`` is None for an IGNORE-class instruction: the handler
     # then bumps the two counters ``on_commit`` would have.  Otherwise
@@ -268,13 +284,17 @@ class HandlerTable:
     # keyword construction costs about three times as much, and the
     # named tuple's own ``__new__`` is one more call per packet.
 
-    def _context(self):
+    def _context(self, pc):
+        """What every fused closure binds: the owners, the register
+        file and its bank, and ``pc``'s I-cache set and line tag."""
         system = self.system
         cpu = system.cpu
         timing = system.core_timing
         regs = cpu.regs
-        return (cpu, timing, system.interface, regs.read, regs.write,
-                regs.physical_index, timing.icache.read,
+        icache = timing.icache
+        itag = pc >> icache._offset_bits
+        return (cpu, timing, system.interface, regs, regs._phys, icache,
+                icache._sets[itag % icache._num_sets], itag,
                 system.bus.line_refill)
 
     def _make_forward(self, word, klass):
@@ -335,8 +355,8 @@ class HandlerTable:
         return forward
 
     def _make_alu_simple(self, pc, word, instr, latency, forward):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+        (cpu, timing, iface, regs, bank, icache, iways, itag,
+         refill) = self._context(pc)
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
@@ -345,10 +365,12 @@ class HandlerTable:
         decode = _static_decode(instr)
 
         def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
+            m = regs._map
+            a = bank[m[rs1]] if rs1 else 0
+            b = imm if use_imm else (bank[m[rs2]] if rs2 else 0)
             value = valfn(a, b)
-            regs_write(rd, value)
+            if rd:
+                bank[m[rd]] = value
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -356,14 +378,16 @@ class HandlerTable:
             ts = timing.stats
             ts.instructions += 1
             now = int(now)
-            if not icache_read(pc):
+            if iways and iways[-1] == itag:
+                icache.stats.read_hits += 1
+            elif not icache.read(pc):
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
             base = latency
             dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)):
+            if dest > 0 and (m[rs1] == dest
+                             or (not use_imm and m[rs2] == dest)):
                 base += 1
                 ts.interlock_stall += 1
             timing._pending_load_dest = -1
@@ -374,8 +398,8 @@ class HandlerTable:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
                     pc, word, 0, value, a, b, codes.pack(), False, klass,
-                    decode | (codes.c << 16), cpu.y, phys(rs1),
-                    0 if use_imm else phys(rs2), phys(rd), None,
+                    decode | (codes.c << 16), cpu.y, m[rs1],
+                    0 if use_imm else m[rs2], m[rd], None,
                 )), now)
             if iface is not None:
                 s = iface.stats
@@ -386,8 +410,8 @@ class HandlerTable:
         return handler
 
     def _make_alu_full(self, pc, word, instr, latency, forward):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+        (cpu, timing, iface, regs, bank, icache, iways, itag,
+         refill) = self._context(pc)
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
@@ -396,12 +420,14 @@ class HandlerTable:
         decode = _static_decode(instr)
 
         def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
+            m = regs._map
+            a = bank[m[rs1]] if rs1 else 0
+            b = imm if use_imm else (bank[m[rs2]] if rs2 else 0)
             carry_before = cpu.codes.c
             y_before = cpu.y
             alu = alu_op(a, b, carry_before, y_before)
-            regs_write(rd, alu.value)
+            if rd:
+                bank[m[rd]] = alu.value & MASK32
             if alu.codes is not None:
                 cpu.codes = alu.codes
             if alu.y is not None:
@@ -413,14 +439,16 @@ class HandlerTable:
             ts = timing.stats
             ts.instructions += 1
             now = int(now)
-            if not icache_read(pc):
+            if iways and iways[-1] == itag:
+                icache.stats.read_hits += 1
+            elif not icache.read(pc):
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
             base = latency
             dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)):
+            if dest > 0 and (m[rs1] == dest
+                             or (not use_imm and m[rs2] == dest)):
                 base += 1
                 ts.interlock_stall += 1
             timing._pending_load_dest = -1
@@ -431,7 +459,7 @@ class HandlerTable:
                 return forward(_new_packet(TracePacket, (
                     pc, word, 0, alu.value, a, b, cpu.codes.pack(), False,
                     klass, decode | (carry_before << 16), y_before,
-                    phys(rs1), 0 if use_imm else phys(rs2), phys(rd), None,
+                    m[rs1], 0 if use_imm else m[rs2], m[rd], None,
                 )), now)
             if iface is not None:
                 s = iface.stats
@@ -442,15 +470,18 @@ class HandlerTable:
         return handler
 
     def _make_load(self, pc, word, instr, latency, forward):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+        (cpu, timing, iface, regs, bank, icache, iways, itag,
+         refill) = self._context(pc)
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
         op3 = instr.opcode
         klass = instr.instr_class
         decode = _static_decode(instr)
-        dcache_read = timing.dcache.read
+        dcache = timing.dcache
+        dsets = dcache._sets
+        dnum = dcache._num_sets
+        dshift = dcache._offset_bits
         memory = self.system.memory
         read_word = self._read_word
         read_byte = memory.read_byte
@@ -472,11 +503,13 @@ class HandlerTable:
                 return (raw - 0x10000 if raw & 0x8000 else raw) & MASK32
 
         def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
+            m = regs._map
+            a = bank[m[rs1]] if rs1 else 0
+            b = imm if use_imm else (bank[m[rs2]] if rs2 else 0)
             addr = (a + b) & MASK32
             value = loadfn(addr)
-            regs_write(rd, value)
+            if rd:
+                bank[m[rd]] = value
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -484,20 +517,26 @@ class HandlerTable:
             ts = timing.stats
             ts.instructions += 1
             now = int(now)
-            if not icache_read(pc):
+            if iways and iways[-1] == itag:
+                icache.stats.read_hits += 1
+            elif not icache.read(pc):
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
             base = latency
             dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)):
+            if dest > 0 and (m[rs1] == dest
+                             or (not use_imm and m[rs2] == dest)):
                 base += 1
                 ts.interlock_stall += 1
-            timing._pending_load_dest = phys(rd)
+            timing._pending_load_dest = m[rd]
             ts.base_cycles += base
             now += base
-            if not dcache_read(addr):
+            dtag = addr >> dshift
+            dways = dsets[dtag % dnum]
+            if dways and dways[-1] == dtag:
+                dcache.stats.read_hits += 1
+            elif not dcache.read(addr):
                 done = refill(now, "core-dcache")
                 ts.dcache_stall += done - now
                 now = done
@@ -506,8 +545,8 @@ class HandlerTable:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
                     pc, word, addr, value, a, b, codes.pack(), False, klass,
-                    decode | (codes.c << 16), cpu.y, phys(rs1),
-                    0 if use_imm else phys(rs2), phys(rd), None,
+                    decode | (codes.c << 16), cpu.y, m[rs1],
+                    0 if use_imm else m[rs2], m[rd], None,
                 )), now)
             if iface is not None:
                 s = iface.stats
@@ -518,8 +557,8 @@ class HandlerTable:
         return handler
 
     def _make_store(self, pc, word, instr, latency, forward):
-        (cpu, timing, iface, regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+        (cpu, timing, iface, regs, bank, icache, iways, itag,
+         refill) = self._context(pc)
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
@@ -536,17 +575,18 @@ class HandlerTable:
         else:  # STH
             storefn = memory.write_half
         text_lo, text_hi = self.text_lo, self.text_hi
-        invalidate = self.invalidate
+        table = weakref.proxy(self)
 
         def handler(now):
-            a = regs_read(rs1)
-            b = imm if use_imm else regs_read(rs2)
+            m = regs._map
+            a = bank[m[rs1]] if rs1 else 0
+            b = imm if use_imm else (bank[m[rs2]] if rs2 else 0)
             addr = (a + b) & MASK32
-            value = regs_read(rd)
+            value = bank[m[rd]] if rd else 0
             storefn(addr, value)
             if text_lo <= addr < text_hi:
                 # Self-modifying code: re-predecode the touched word.
-                invalidate(addr)
+                table.invalidate(addr)
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -554,15 +594,17 @@ class HandlerTable:
             ts = timing.stats
             ts.instructions += 1
             now = int(now)
-            if not icache_read(pc):
+            if iways and iways[-1] == itag:
+                icache.stats.read_hits += 1
+            elif not icache.read(pc):
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
             base = latency
             dest = timing._pending_load_dest
-            if dest > 0 and (phys(rs1) == dest
-                             or (not use_imm and phys(rs2) == dest)
-                             or phys(rd) == dest):
+            if dest > 0 and (m[rs1] == dest
+                             or (not use_imm and m[rs2] == dest)
+                             or m[rd] == dest):
                 base += 1
                 ts.interlock_stall += 1
             timing._pending_load_dest = -1
@@ -577,8 +619,8 @@ class HandlerTable:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
                     pc, word, addr, value, a, b, codes.pack(), False, klass,
-                    decode | (codes.c << 16), cpu.y, phys(rs1),
-                    0 if use_imm else phys(rs2), phys(rd), None,
+                    decode | (codes.c << 16), cpu.y, m[rs1],
+                    0 if use_imm else m[rs2], m[rd], None,
                 )), now)
             if iface is not None:
                 s = iface.stats
@@ -589,8 +631,8 @@ class HandlerTable:
         return handler
 
     def _make_branch(self, pc, word, instr, latency, forward):
-        (cpu, timing, iface, _regs_read, _regs_write, _phys,
-         icache_read, refill) = self._context()
+        (cpu, timing, iface, _regs, _bank, icache, iways, itag,
+         refill) = self._context(pc)
         cond_eval = CONDITIONS[instr.cond]
         target = (pc + 4 * instr.disp) & MASK32
         annul = instr.annul
@@ -617,7 +659,9 @@ class HandlerTable:
             ts = timing.stats
             ts.instructions += 1
             now = int(now)
-            if not icache_read(pc):
+            if iways and iways[-1] == itag:
+                icache.stats.read_hits += 1
+            elif not icache.read(pc):
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
@@ -641,15 +685,16 @@ class HandlerTable:
         return handler
 
     def _make_sethi(self, pc, word, instr, latency, forward):
-        (cpu, timing, iface, _regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+        (cpu, timing, iface, regs, bank, icache, iways, itag,
+         refill) = self._context(pc)
         rd = instr.rd
         value = (instr.imm << 10) & MASK32
         klass = instr.instr_class
         decode = _static_decode(instr)
 
         def handler(now):
-            regs_write(rd, value)
+            if rd:
+                bank[regs._map[rd]] = value
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = (npc + 4) & MASK32
@@ -657,7 +702,9 @@ class HandlerTable:
             ts = timing.stats
             ts.instructions += 1
             now = int(now)
-            if not icache_read(pc):
+            if iways and iways[-1] == itag:
+                icache.stats.read_hits += 1
+            elif not icache.read(pc):
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
@@ -669,7 +716,8 @@ class HandlerTable:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
                     pc, word, 0, value, 0, 0, codes.pack(), False, klass,
-                    decode | (codes.c << 16), cpu.y, 0, 0, phys(rd), None,
+                    decode | (codes.c << 16), cpu.y, 0, 0, regs._map[rd],
+                    None,
                 )), now)
             if iface is not None:
                 s = iface.stats
@@ -680,14 +728,14 @@ class HandlerTable:
         return handler
 
     def _make_call(self, pc, word, instr, latency, forward):
-        (cpu, timing, iface, _regs_read, regs_write, phys,
-         icache_read, refill) = self._context()
+        (cpu, timing, iface, regs, bank, icache, iways, itag,
+         refill) = self._context(pc)
         target = (pc + 4 * instr.disp) & MASK32
         klass = instr.instr_class
         decode = _static_decode(instr)
 
         def handler(now):
-            regs_write(15, pc)  # %o7 <- address of the call
+            bank[regs._map[15]] = pc  # %o7 <- address of the call
             npc = cpu.npc
             cpu.pc = npc
             cpu.npc = target
@@ -695,7 +743,9 @@ class HandlerTable:
             ts = timing.stats
             ts.instructions += 1
             now = int(now)
-            if not icache_read(pc):
+            if iways and iways[-1] == itag:
+                icache.stats.read_hits += 1
+            elif not icache.read(pc):
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
@@ -707,7 +757,8 @@ class HandlerTable:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
                     pc, word, target, pc, 0, 0, codes.pack(), True, klass,
-                    decode | (codes.c << 16), cpu.y, 0, 0, phys(15), None,
+                    decode | (codes.c << 16), cpu.y, 0, 0, regs._map[15],
+                    None,
                 )), now)
             if iface is not None:
                 s = iface.stats
@@ -729,7 +780,7 @@ class HandlerTable:
         is_store = instr.is_store
         double = instr.opcode == Op3Mem.STD if is_store else False
         text_lo, text_hi = self.text_lo, self.text_hi
-        invalidate = self.invalidate
+        table = weakref.proxy(self)
 
         def handler(now):
             record = execute(pc, word, instr)
@@ -737,9 +788,9 @@ class HandlerTable:
             if is_store:
                 addr = record.addr
                 if text_lo <= addr < text_hi:
-                    invalidate(addr)
+                    table.invalidate(addr)
                     if double:
-                        invalidate(addr + 4)
+                        table.invalidate(addr + 4)
             now = advance(record, int(now))
             if on_commit is not None:
                 now = on_commit(record, now)

@@ -127,6 +127,22 @@ class TestMetadataCache:
         assert all(a is b for a, b in zip(cache._sets, ways))
         assert cache.contains(0x40) and not cache.contains(0x1040)
 
+    def test_core_cache_sets_survive_restore_and_flush(self):
+        """The fast engine's fetch and load handlers bind a set list
+        of the I- and D-cache each, so restore and flush must update
+        every set list in place."""
+        cache = small_cache()
+        ways = list(cache._sets)
+        cache.read(0x100)
+        state = cache.snapshot_state()
+        cache.read(0x200)
+        cache.restore_state(state)
+        assert all(a is b for a, b in zip(cache._sets, ways))
+        assert cache.contains(0x100) and not cache.contains(0x200)
+        cache.flush()
+        assert all(a is b for a, b in zip(cache._sets, ways))
+        assert not any(ways)
+
 
 @st.composite
 def access_sequences(draw):

@@ -437,3 +437,104 @@ class TestRollbackRecovery:
     def test_checkpoint_every_validation(self):
         with pytest.raises(ValueError, match="checkpoint_every"):
             self._system().run_bounded(checkpoint_every=0)
+
+
+#: ``SOURCE`` plus a load from a stack word nothing wrote, which the
+#: UMC monitor traps on.
+TRAPPING = SOURCE.replace(
+    "        ta      0\n",
+    "        ld      [%sp - 64], %o5\n        ta      0\n",
+)
+
+SPIN = """
+        .text
+start:  ba      start
+        nop
+"""
+
+_UMC_TRAP = ("[umc] uninitialized-read at pc=0x1030 addr=0x7fffb0: "
+             "load from uninitialized word 0x7fffb0")
+
+
+def _landmarks():
+    marks = iter([12, 13, 40])
+    return lambda _system, _state: next(marks, None)
+
+
+def _thirty_on():
+    return lambda _system, state: state["cpu"]["instret"] + 30
+
+
+#: name -> (program, run_bounded kwargs, on_checkpoint factory,
+#: (termination, instret, cycles, checkpoint instrets, recoveries,
+#: trap)).  The watchdogs of the run loop fire in a fixed order at
+#: the top of each step — instruction limit, cycle cap, deadline
+#: stride, checkpoint — and these values pin that order where two of
+#: them meet.
+WATCHDOG_CASES = {
+    "plain": (SOURCE, {}, None,
+              ("HALTED", 55, 244, [], 0, None)),
+    "limit": (
+        SOURCE, {"max_instructions": 30}, None,
+        ("INSTRUCTION_LIMIT", 30, 208, [], 0, None)),
+    "limit-on-checkpoint": (
+        SOURCE, {"max_instructions": 30, "checkpoint_every": 10}, None,
+        ("INSTRUCTION_LIMIT", 30, 208, [10, 20], 0, None)),
+    "cycle-cap": (
+        SOURCE, {"max_cycles": 200}, None,
+        ("CYCLE_LIMIT", 28, 206, [], 0, None)),
+    "cycle-cap-between-checkpoints": (
+        SOURCE, {"max_cycles": 200, "checkpoint_every": 10}, None,
+        ("CYCLE_LIMIT", 28, 206, [10, 20], 0, None)),
+    "absolute-landmarks": (
+        SOURCE, {"checkpoint_every": 5}, _landmarks,
+        ("HALTED", 55, 244, [5, 12, 13, 40, 45, 50], 0, None)),
+    "rollback-to-checkpoint": (
+        TRAPPING, {"checkpoint_every": 20, "recover": True,
+                   "recovery_limit": 2}, None,
+        ("TRAP", 55, 800, [20, 40], 2, _UMC_TRAP)),
+    "rollback-past-a-landmark": (
+        # Each checkpoint schedules the next 30 instructions on; a
+        # rollback to instret 35 falls back to the 5-stride.
+        TRAPPING, {"checkpoint_every": 5, "recover": True,
+                   "recovery_limit": 2}, _thirty_on,
+        ("TRAP", 55, 808, [5, 35, 40, 45], 2, _UMC_TRAP)),
+    "rollback-to-entry": (
+        TRAPPING, {"recover": True, "recovery_limit": 1}, None,
+        ("TRAP", 55, 784, [], 1, _UMC_TRAP)),
+    "deadline-stride": (
+        SPIN, {"deadline": 0.0, "max_instructions": 10_000}, None,
+        ("DEADLINE", 4096, 4134, [], 0, None)),
+    "limit-before-deadline": (
+        SPIN, {"deadline": 0.0, "max_instructions": 4096}, None,
+        ("INSTRUCTION_LIMIT", 4096, 4134, [], 0, None)),
+    "deadline-before-checkpoint": (
+        SPIN, {"deadline": 0.0, "max_instructions": 10_000,
+               "checkpoint_every": 4096}, None,
+        ("DEADLINE", 4096, 4134, [], 0, None)),
+}
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("case", sorted(WATCHDOG_CASES))
+def test_watchdog_order_is_pinned(case, engine):
+    """Both engines share one run loop, so the differential suites
+    cannot see a mistake in its watchdog bookkeeping; these values
+    were captured from the loop that tested each watchdog on every
+    step."""
+    source, kwargs, make_callback, expected = WATCHDOG_CASES[case]
+    callback = make_callback() if make_callback else None
+    seen = []
+
+    def grab(system, state):
+        seen.append(state["cpu"]["instret"])
+        return callback(system, state) if callback else None
+
+    system = FlexCoreSystem(assemble(source, entry="start"),
+                            create_extension("umc"))
+    result = system.run_bounded(engine=engine, on_checkpoint=grab,
+                                **kwargs)
+    assert result.engine == engine
+    assert (result.termination.name, result.instructions, result.cycles,
+            seen, result.recoveries,
+            str(result.trap) if result.trap else None) == expected

@@ -9,8 +9,10 @@ layers compare what a committed instruction does, not two copies of
 the loop control:
 
 * a hypothesis property over random programs (ALU mixes, word, half
-  and byte loads and stores, annulled delay slots, undecodable words)
-  under a drawn extension, each spilling its registers to memory;
+  and byte loads and stores, annulled delay slots, undecodable words,
+  %g0 as source and destination, a leaf routine called from two
+  window depths) under a drawn extension, each spilling its registers
+  to memory;
 * the full paper matrix — six workloads under every shipped extension
   including the MDL-compiled specs — at the experiment configuration;
 * mid-run checkpoint/restore and rollback recovery, including
@@ -64,9 +66,11 @@ OPS = {
     "umul": None, "smul": None,
 }
 
-# Registers the generator may clobber (avoid %g0/%sp/%fp/%o7).
+# Registers the generator may name (avoid %sp/%fp/%o7, which the
+# calls below need).  %g0 comes last, so the seeded registers are
+# writable; it is drawn as rs1, rs2 and rd alike.
 REGS = ["%g1", "%g2", "%g3", "%o0", "%o1", "%o2", "%l0", "%l1",
-        "%l2", "%l3", "%i0", "%i1"]
+        "%l2", "%l3", "%i0", "%i1", "%g0"]
 
 #: extension specs; "mdl:<name>" instantiates a shipped MDL spec.
 MATRIX_EXTENSIONS = (
@@ -142,13 +146,40 @@ _LOAD = st.tuples(st.just("ld"),
 #: compare-and-skip with an annulled delay slot: exercises the fused
 #: branch handler's annul path both taken and untaken.
 _SKIP = st.tuples(st.just("skip"), _REG_INDEX, _REG_INDEX)
+#: call ``leaf`` directly and through ``outer``: the leaf's fused
+#: handlers run under two window pointers.
+_CALL = st.tuples(st.just("call"))
+
+#: the routines ``_CALL`` reaches, placed after the halt.  ``leaf``
+#: reads its ins (the caller's %o0/%o1), loads into a local and uses
+#: it at once (the load-use interlock on windowed registers), stores
+#: and returns a value in %i0 — the caller's %o0.
+_ROUTINES = [
+    "leaf:",
+    "        save    %sp, -96, %sp",
+    "        ld      [%g4 + 8], %l1",
+    "        add     %l1, %i1, %l1",
+    "        xor     %i0, %l1, %l0",
+    "        st      %l0, [%g4 + 60]",
+    "        add     %l0, %g1, %i0",
+    "        ret",
+    "        restore",
+    "outer:",
+    "        save    %sp, -96, %sp",
+    "        mov     %i0, %o0",
+    "        call    leaf",
+    "        add     %i1, 3, %o1",
+    "        add     %o0, 1, %i0",
+    "        ret",
+    "        restore",
+]
 
 
 @st.composite
 def monitored_programs(draw):
     seeds = draw(st.lists(st.integers(0, MASK32), min_size=4,
                           max_size=4))
-    ops = draw(st.lists(st.one_of(_ALU, _STORE, _LOAD, _SKIP),
+    ops = draw(st.lists(st.one_of(_ALU, _STORE, _LOAD, _SKIP, _CALL),
                         min_size=1, max_size=24))
     loops = draw(st.integers(1, 3))
     # An undecodable word in place of the halt: both engines must
@@ -186,6 +217,9 @@ def _emit(seeds, ops, loops, bad_tail):
             offset += low & _SUBWORD_MASK[mnemonic]
             lines.append(f"        {mnemonic:7s} [%g4 + {offset}], "
                          f"{REGS[rd]}")
+        elif kind == "call":
+            lines += ["        call    leaf", "        nop",
+                      "        call    outer", "        nop"]
         else:
             _, rs1, rs2 = op
             lines.append(f"        subcc   {REGS[rs1]}, {REGS[rs2]}, "
@@ -208,6 +242,7 @@ def _emit(seeds, ops, loops, bad_tail):
         lines.append("        .word   0x00000000")
     else:
         lines += ["        ta      0", "        nop"]
+    lines += _ROUTINES
     # Seed the buffer with bytes on both sides of every sign bit, so
     # sub-word loads of never-stored locations sign-extend too.
     lines += ["        .data", "buf:"]
@@ -225,14 +260,24 @@ FUSED_ENGINES = ("fast",)
 def test_random_programs_bit_identical(case):
     seeds, ops, loops, bad_tail, extension = case
     program = _emit(seeds, ops, loops, bad_tail)
-    reference = _run_one(program, extension, "reference",
-                         max_instructions=20_000)
+    runs = {}
+    for engine in ("reference",) + FUSED_ENGINES:
+        system = FlexCoreSystem(program, _make_extension(extension))
+        try:
+            result = system.run_bounded(engine=engine,
+                                        max_instructions=20_000)
+        except Exception as err:
+            result = ("raised", type(err).__name__, str(err))
+        else:
+            assert result.engine == engine
+        # The whole register bank too: a write the reference drops
+        # (to %g0) must not land in the fast engine's bank either.
+        runs[engine] = result, system.cpu.snapshot_state()
+    reference, reference_cpu = runs["reference"]
     for engine in FUSED_ENGINES:
-        fused = _run_one(program, extension, engine,
-                         max_instructions=20_000)
-        if not isinstance(fused, tuple):
-            assert fused.engine == engine
+        fused, fused_cpu = runs[engine]
         _assert_identical(reference, fused)
+        assert fused_cpu == reference_cpu
 
 
 # ---------------------------------------------------------------------------

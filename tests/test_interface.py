@@ -175,3 +175,51 @@ class TestNoReferenceCycles:
             assert [ref() for ref in owners] == [None, None]
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("name", [None, "umc", "dift", "bc", "sec"])
+    def test_fast_run_freed_by_reference_counting(self, name):
+        """The fast engine's store handlers invalidate through a weak
+        proxy of their table; a strong one closes the cycle table ->
+        handlers -> closure -> table around the whole system."""
+        from repro.flexcore.system import FlexCoreSystem
+        from repro.workloads import build_workload
+
+        program = build_workload("bitcount", 0.03125).build()
+        gc.disable()
+        try:
+            system = FlexCoreSystem(
+                program, create_extension(name) if name else None)
+            assert system.run_bounded(engine="fast").engine == "fast"
+            memory = weakref.ref(system.memory)
+            del system
+            assert memory() is None
+        finally:
+            gc.enable()
+
+    def test_self_modifying_fast_run_freed(self):
+        """Fused (``st``) and generic (``std``) stores into the text
+        both invalidate through the proxy, before and after it fires."""
+        from repro.flexcore.system import FlexCoreSystem
+        from repro.isa.assembler import assemble
+
+        program = assemble("""
+        .text
+start:  set     target, %g2
+        set     0x01000000, %g4    ! nop
+        set     0x01000000, %g5
+target: st      %g4, [%g2]
+        std     %g4, [%g2]
+        ta      0
+        nop
+""", entry="start")
+        gc.disable()
+        try:
+            system = FlexCoreSystem(program)
+            result = system.run_bounded(engine="fast")
+            assert result.engine == "fast" and result.halted
+            del result
+            memory = weakref.ref(system.memory)
+            del system
+            assert memory() is None
+        finally:
+            gc.enable()

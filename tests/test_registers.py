@@ -123,6 +123,22 @@ class TestWindows:
         with pytest.raises(ValueError):
             RegisterFile(nwindows=1)
 
+    def test_bank_survives_restore_save_and_restore(self):
+        """The fast engine's handlers bind the physical bank once, so
+        window moves and state restores must keep that list."""
+        regs = RegisterFile()
+        bank = regs._phys
+        regs.write(8, 5)
+        state = regs.snapshot_state()
+        regs.save()
+        regs.write(8, 6)
+        assert regs._phys is bank
+        regs.restore()
+        assert regs._phys is bank
+        regs.restore_state(state)
+        assert regs._phys is bank
+        assert regs.read(8) == 5 and regs.cwp == 0
+
 
 @given(st.integers(2, 6), st.lists(st.integers(0, 0xFFFFFFFF), min_size=8,
                                    max_size=8))
