@@ -13,7 +13,7 @@ closures compute those values inline from the same functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.isa.opcodes import Cond, Op3
@@ -31,15 +31,22 @@ class ConditionCodes:
     carry.  Packed as the 4-bit N|Z|V|C field of the trace packet.
 
     The class is frozen, so the ALU and :meth:`unpack` share one
-    interned instance per 4-bit value."""
+    interned instance per 4-bit value, and its packed value is computed
+    once, into ``cond``, which the fused engine reads per packet."""
 
     n: bool = False
     z: bool = False
     v: bool = False
     c: bool = False
+    #: the packed N|Z|V|C value; derived, so not compared.
+    cond: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cond", (self.n << 3) | (self.z << 2)
+                           | (self.v << 1) | int(self.c))
 
     def pack(self) -> int:
-        return (self.n << 3) | (self.z << 2) | (self.v << 1) | int(self.c)
+        return self.cond
 
     @classmethod
     def unpack(cls, bits: int) -> "ConditionCodes":

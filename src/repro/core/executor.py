@@ -470,6 +470,8 @@ class CpuState:
             record.srcv1 = a
             record.srcv2 = b
             record.src1_phys = self._phys(instr.rs1)
+            if not instr.use_imm:
+                record.src2_phys = self._phys(instr.rs2)
             self._advance(self.npc + 4)
             record.cond = self.codes.pack()
             return record

@@ -22,8 +22,10 @@ by every engine, :func:`repro.engine.fastloop.run_loop`; it calls
 delay slot is annulled.
 
 Each common instruction shape (simple ALU, full ALU, load, store,
-branch, sethi, call) has one closure factory, whatever the policy.
-Fidelity rules the closures follow:
+branch, register write, jump) has one closure factory, whatever the
+policy.  RDY shares SETHI's (a register write with no sources), WRY
+with rd = %g0 the full ALU's (an op that writes only Y), and JMPL
+CALL's (link, then jump).  Fidelity rules the closures follow:
 
 * Ignored-class common instructions are fully fused: nothing is
   allocated; the interface bookkeeping reduces to the two counters
@@ -32,20 +34,17 @@ Fidelity rules the closures follow:
   fused functional work and timing charge, then build one object: the
   ``TracePacket``, field for field what ``TracePacket.from_commit``
   makes of the ``CommitRecord`` ``_execute`` would have produced,
-  with no record attached.  A fused commit tail (``_make_forward``)
-  replays ``on_commit``'s body with the policy and ack mode resolved
-  at build time, inlines the FIFO check and push on the FIFO's drain
-  queue, and calls the fabric service
-  ``CoreFabricInterface.service_for`` chose when the handler was
-  built.  That is a closure over the extension's fabric op for the
-  packet's class and shape — the op ``process`` runs too — or the
-  reference ``_service``, which calls ``process`` per packet: under a
-  tracer or a meta-data TLB, for an extension without ops, and when
-  ``process`` is patched on the instance (the ``fifo-drop`` fault).
-* The rare opcodes (FLEX, JMPL, TICC, SAVE/RESTORE, RDY/WRY, RETT,
-  LDD/STD) run through the original ``CpuState._execute`` /
-  ``CoreTiming.advance`` / ``on_commit`` machinery — only the fetch
-  and decode are skipped.
+  with no record attached.  They hand it to the commit tail
+  ``CoreFabricInterface.forward_tail`` built for the class and op
+  shape: ``on_commit``'s body with the FIFO, the fabric timing and the
+  extension's fabric op inlined, so the packet reaches its op in one
+  call.  Under a tracer or a meta-data TLB, for an extension without
+  ops, and when ``process`` is patched on the instance (the
+  ``fifo-drop`` fault) the tail runs the reference ``_service``, which
+  calls ``process``, in the op's place.
+* The rare opcodes (FLEX, TICC, SAVE/RESTORE, RETT, LDD/STD) run
+  through the original ``CpuState._execute`` / ``CoreTiming.advance``
+  / ``on_commit`` machinery — only the fetch and decode are skipped.
 * ``now`` is truncated with ``int()`` before timing, errors propagate
   with the same types and messages, ``instret`` only increments after
   the fallible functional work, and mutable collaborators that
@@ -54,9 +53,10 @@ Fidelity rules the closures follow:
   through their stable owner on every call, as is the register
   file's window map ``regs._map``, which every CWP change rebuilds.
   Containers restored in place may be bound once: the FIFO's drain
-  queue, the monitor's tag stores, the register bank ``regs._phys``
-  and the caches' per-set tag lists.
-* Registers, fetch and fused loads index those containers directly.
+  queue, the monitor's tag stores, the register bank ``regs._phys``,
+  the memory's page dict and the caches' per-set tag lists.
+* Registers, fetch, memory and fused loads index those containers
+  directly.
   An operand reads ``bank[m[rs]]`` (``%g0`` reads 0, a write to it is
   dropped) and ``m[rs]`` is the packet's physical register number.  A
   handler's PC is static, so its I-cache set and line tag are too: a
@@ -77,7 +77,8 @@ from __future__ import annotations
 
 import weakref
 
-from repro.core.alu import ALU_OPS, ALU_VALUE, CONDITIONS
+from repro.core.alu import ALU_OPS, ALU_VALUE, CONDITIONS, AluResult
+from repro.core.executor import SimulationError
 from repro.flexcore.cfgr import ForwardPolicy
 from repro.flexcore.packet import TracePacket
 from repro.isa.encoding import decode
@@ -95,27 +96,30 @@ _new_packet = tuple.__new__
 #: decoding is pure, so the memo is shared by every table.
 _DECODE_CACHE: dict[int, Instruction] = {}
 
-#: FORMAT3_ALU opcodes with side effects beyond regs/codes/Y writes
-#: (window rotation, control transfer, traps, co-processor I/O); these
-#: always run through ``CpuState._execute``.
-_SPECIAL_ALU = frozenset({
-    Op3.FLEXOP, Op3.JMPL, Op3.TICC, Op3.SAVE, Op3.RESTORE,
-    Op3.RDY, Op3.WRY, Op3.RETT,
-})
 
-#: Loads/stores with fully fused closures; LDD/STD (two accesses,
-#: even-rd checks) take the generic path.
-_FUSED_LOADS = (Op3Mem.LD, Op3Mem.LDUB, Op3Mem.LDSB,
-                Op3Mem.LDUH, Op3Mem.LDSH)
+def _write_y(a, b, carry, y):
+    """WRY as a full-ALU op: Y <- rs1 xor rs2/imm, and no register or
+    icc write, so it is fused only with rd = %g0."""
+    return AluResult(0, None, (a ^ b) & MASK32)
+
+
+#: The full-ALU closures' ops: every ALU op, and WRY.
+_FULL_OPS = {**ALU_OPS, Op3.WRY: _write_y}
+
+#: Stores with fully fused closures (the fused loads are the keys of
+#: ``_page_accessors``' load map); LDD/STD (two accesses, even-rd
+#: checks) take the generic path.
 _FUSED_STORES = (Op3Mem.ST, Op3Mem.STB, Op3Mem.STH)
 
 
-def _word_accessors(memory):
-    """Fast big-endian word read/write over ``memory``'s page dict.
+def _page_accessors(memory):
+    """Fast big-endian accessors over ``memory``'s page dict: word
+    read and write, and the sub-word loads by op3, zero- or
+    sign-extended.
 
     Bit-compatible with :class:`SparseMemory`'s accessors, including
-    the misaligned-fault message and zero-page allocation; an aligned
-    word never straddles a page.
+    the misaligned-fault messages and zero-page allocation; an aligned
+    access never straddles a page.
     """
     pages = memory._pages
 
@@ -146,7 +150,33 @@ def _word_accessors(memory):
         page[o + 2] = (value >> 8) & 0xFF
         page[o + 3] = value & 0xFF
 
-    return read_word, write_word
+    def half(sign):
+        def load(addr):
+            if addr & 1:
+                raise MemoryFault(f"misaligned half read at {addr:#x}")
+            addr &= MASK32
+            page = pages.get(addr >> 12)
+            if page is None:
+                page = bytearray(PAGE_SIZE)
+                pages[addr >> 12] = page
+            o = addr & PAGE_MASK
+            return ((((page[o] << 8) | page[o + 1]) ^ sign) - sign) & MASK32
+        return load
+
+    def byte(sign):
+        def load(addr):
+            addr &= MASK32
+            page = pages.get(addr >> 12)
+            if page is None:
+                page = bytearray(PAGE_SIZE)
+                pages[addr >> 12] = page
+            return ((page[addr & PAGE_MASK] ^ sign) - sign) & MASK32
+        return load
+
+    return read_word, write_word, {
+        Op3Mem.LD: read_word, Op3Mem.LDUB: byte(0), Op3Mem.LDSB: byte(0x80),
+        Op3Mem.LDUH: half(0), Op3Mem.LDSH: half(0x8000),
+    }
 
 
 def _static_decode(instr: Instruction) -> int:
@@ -176,7 +206,10 @@ class HandlerTable:
         program = system.program
         self.text_lo = program.text_base
         self.text_hi = program.text_base + 4 * len(program.text)
-        self._read_word, self._write_word = _word_accessors(system.memory)
+        self._read_word, self._write_word, self._loads = _page_accessors(
+            system.memory)
+        #: (class, op shape) -> forward tail, for this table's handlers.
+        self._tails: dict = {}
 
     def invalidate(self, addr: int) -> None:
         """Drop the predecoded handler for the text word at ``addr``
@@ -242,16 +275,22 @@ class HandlerTable:
         factory = None
         op = instr.op
         opcode = instr.opcode
-        if op == Op.FORMAT3_ALU and opcode not in _SPECIAL_ALU:
-            factory = (self._make_alu_simple if opcode in ALU_VALUE
-                       else self._make_alu_full)
+        if op == Op.FORMAT3_ALU:
+            if opcode in ALU_VALUE:
+                factory = self._make_alu_simple
+            elif opcode in ALU_OPS or (opcode == Op3.WRY and not instr.rd):
+                factory = self._make_alu_full
+            elif opcode == Op3.JMPL:
+                factory = self._make_jump
+            elif opcode == Op3.RDY:
+                factory = self._make_sethi
         elif op == Op.FORMAT3_MEM:
-            if opcode in _FUSED_LOADS:
+            if opcode in self._loads:
                 factory = self._make_load
             elif opcode in _FUSED_STORES:
                 factory = self._make_store
         elif op == Op.CALL:
-            factory = self._make_call
+            factory = self._make_jump
         elif op == Op.FORMAT2:
             if opcode == Op2.SETHI:
                 factory = self._make_sethi
@@ -260,8 +299,8 @@ class HandlerTable:
         if factory is None:
             handler = self._make_generic(pc, word, instr)
         else:
-            forward = (None if policy == ForwardPolicy.IGNORE
-                       else self._make_forward(word, instr_class))
+            forward = (None if policy == ForwardPolicy.IGNORE else
+                       iface.forward_tail(instr_class, word, self._tails))
             handler = factory(pc, word, instr, latency, forward)
         self.handlers[pc] = handler
         return handler
@@ -274,15 +313,16 @@ class HandlerTable:
     #
     # ``forward`` is None for an IGNORE-class instruction: the handler
     # then bumps the two counters ``on_commit`` would have.  Otherwise
-    # it is the fused commit tail (``_make_forward``), and the handler
-    # ends by building the instruction's ``TracePacket`` — field for
-    # field what ``TracePacket.from_commit`` makes of the record
-    # ``_execute`` would have produced, minus the record — and handing
-    # it over.  The packet is built in Table II order (pc, inst, addr,
-    # res, srcv1, srcv2, cond, branch, opcode, decode, extra, src1,
-    # src2, dest) plus the empty record slot, by ``tuple.__new__``:
-    # keyword construction costs about three times as much, and the
-    # named tuple's own ``__new__`` is one more call per packet.
+    # it is the interface's commit tail for the class and op shape,
+    # and the handler ends by building the instruction's
+    # ``TracePacket`` — field for field what ``TracePacket.from_commit``
+    # makes of the record ``_execute`` would have produced, minus the
+    # record — and handing it over.  The packet is built in Table II
+    # order (pc, inst, addr, res, srcv1, srcv2, cond, branch, opcode,
+    # decode, extra, src1, src2, dest) plus the empty record slot, by
+    # ``tuple.__new__``: keyword construction costs about three times
+    # as much, and the named tuple's own ``__new__`` is one more call
+    # per packet.  COND is the codes' precomputed ``cond``.
 
     def _context(self, pc):
         """What every fused closure binds: the owners, the register
@@ -296,63 +336,6 @@ class HandlerTable:
         return (cpu, timing, system.interface, regs, regs._phys, icache,
                 icache._sets[itag % icache._num_sets], itag,
                 system.bus.line_refill)
-
-    def _make_forward(self, word, klass):
-        """Fused equivalent of ``on_commit`` for a known-forwarded,
-        never-annulled instruction: the FIFO check and push inlined on
-        the FIFO's drain queue, then the fabric service
-        ``CoreFabricInterface.service_for`` picks for this class and
-        shape — the extension's op, or the reference ``_service``.
-        No tracer events: the fast engine only runs with tracing
-        disabled, and metrics come from the stats at run end."""
-        iface = self.system.interface
-        policy = iface.cfgr.policy(klass)
-        best_effort = policy == ForwardPolicy.BEST_EFFORT
-        # FLEX never takes this path (it is in ``_SPECIAL_ALU``), so
-        # the READ_STATUS clause of the reference ack rule is moot.
-        needs_ack = (policy == ForwardPolicy.ALWAYS_ACK
-                     or iface.config.precise_exceptions)
-        sync = iface.config.sync_fabric_cycles
-        fifo = iface.fifo
-        drains = fifo._drains
-        retire = drains.popleft
-        append = drains.append
-        depth = fifo.depth
-        service = iface.service_for(klass, word)
-
-        def forward(packet, now):
-            stats = iface.stats
-            stats.committed += 1
-            while drains and drains[0] <= now:
-                retire()
-            if len(drains) >= depth:
-                if best_effort:
-                    stats.dropped += 1
-                    fifo.stats.dropped += 1
-                    return now
-                wait = drains[0] - now
-                stats.fifo_stall_cycles += wait
-                fifo.stats.full_stall_cycles += wait
-                now += wait
-                while drains and drains[0] <= now:
-                    retire()
-            stats.forwarded += 1
-            by_class = stats.forwarded_by_class
-            by_class[klass] = by_class.get(klass, 0) + 1
-            drain = service(packet, now)
-            append(drain)
-            fifo_stats = fifo.stats
-            fifo_stats.enqueued += 1
-            occupancy = len(drains)
-            if occupancy > fifo_stats.max_occupancy:
-                fifo_stats.max_occupancy = occupancy
-            if needs_ack:
-                ack_at = drain + sync
-                stats.ack_stall_cycles += ack_at - now
-                now = ack_at
-            return now
-
-        return forward
 
     def _make_alu_simple(self, pc, word, instr, latency, forward):
         (cpu, timing, iface, regs, bank, icache, iways, itag,
@@ -397,7 +380,7 @@ class HandlerTable:
             if forward is not None:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
-                    pc, word, 0, value, a, b, codes.pack(), False, klass,
+                    pc, word, 0, value, a, b, codes.cond, False, klass,
                     decode | (codes.c << 16), cpu.y, m[rs1],
                     0 if use_imm else m[rs2], m[rd], None,
                 )), now)
@@ -415,7 +398,7 @@ class HandlerTable:
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
-        alu_op = ALU_OPS[instr.opcode]
+        alu_op = _FULL_OPS[instr.opcode]
         klass = instr.instr_class
         decode = _static_decode(instr)
 
@@ -457,7 +440,7 @@ class HandlerTable:
             ts.cycles = now
             if forward is not None:
                 return forward(_new_packet(TracePacket, (
-                    pc, word, 0, alu.value, a, b, cpu.codes.pack(), False,
+                    pc, word, 0, alu.value, a, b, cpu.codes.cond, False,
                     klass, decode | (carry_before << 16), y_before,
                     m[rs1], 0 if use_imm else m[rs2], m[rd], None,
                 )), now)
@@ -475,32 +458,13 @@ class HandlerTable:
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
-        op3 = instr.opcode
         klass = instr.instr_class
         decode = _static_decode(instr)
         dcache = timing.dcache
         dsets = dcache._sets
         dnum = dcache._num_sets
         dshift = dcache._offset_bits
-        memory = self.system.memory
-        read_word = self._read_word
-        read_byte = memory.read_byte
-        read_half = memory.read_half
-
-        if op3 == Op3Mem.LD:
-            loadfn = read_word
-        elif op3 == Op3Mem.LDUB:
-            loadfn = read_byte
-        elif op3 == Op3Mem.LDSB:
-            def loadfn(addr):
-                raw = read_byte(addr)
-                return (raw - 0x100 if raw & 0x80 else raw) & MASK32
-        elif op3 == Op3Mem.LDUH:
-            loadfn = read_half
-        else:  # LDSH
-            def loadfn(addr):
-                raw = read_half(addr)
-                return (raw - 0x10000 if raw & 0x8000 else raw) & MASK32
+        loadfn = self._loads[instr.opcode]
 
         def handler(now):
             m = regs._map
@@ -544,7 +508,7 @@ class HandlerTable:
             if forward is not None:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
-                    pc, word, addr, value, a, b, codes.pack(), False, klass,
+                    pc, word, addr, value, a, b, codes.cond, False, klass,
                     decode | (codes.c << 16), cpu.y, m[rs1],
                     0 if use_imm else m[rs2], m[rd], None,
                 )), now)
@@ -618,7 +582,7 @@ class HandlerTable:
             if forward is not None:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
-                    pc, word, addr, value, a, b, codes.pack(), False, klass,
+                    pc, word, addr, value, a, b, codes.cond, False, klass,
                     decode | (codes.c << 16), cpu.y, m[rs1],
                     0 if use_imm else m[rs2], m[rd], None,
                 )), now)
@@ -673,7 +637,7 @@ class HandlerTable:
             ts.cycles = now
             if forward is not None:
                 return forward(_new_packet(TracePacket, (
-                    pc, word, target, 0, 0, 0, codes.pack(), taken, klass,
+                    pc, word, target, 0, 0, 0, codes.cond, taken, klass,
                     decode | (codes.c << 16), cpu.y, 0, 0, 0, None,
                 )), now)
             if iface is not None:
@@ -685,14 +649,18 @@ class HandlerTable:
         return handler
 
     def _make_sethi(self, pc, word, instr, latency, forward):
+        """SETHI, and RDY: a register write with no sources, of the
+        static ``imm << 10`` or of Y."""
         (cpu, timing, iface, regs, bank, icache, iways, itag,
          refill) = self._context(pc)
         rd = instr.rd
-        value = (instr.imm << 10) & MASK32
+        read_y = instr.op == Op.FORMAT3_ALU
+        imm = (instr.imm << 10) & MASK32
         klass = instr.instr_class
         decode = _static_decode(instr)
 
         def handler(now):
+            value = cpu.y if read_y else imm
             if rd:
                 bank[regs._map[rd]] = value
             npc = cpu.npc
@@ -715,7 +683,7 @@ class HandlerTable:
             if forward is not None:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
-                    pc, word, 0, value, 0, 0, codes.pack(), False, klass,
+                    pc, word, 0, value, 0, 0, codes.cond, False, klass,
                     decode | (codes.c << 16), cpu.y, 0, 0, regs._map[rd],
                     None,
                 )), now)
@@ -727,17 +695,30 @@ class HandlerTable:
 
         return handler
 
-    def _make_call(self, pc, word, instr, latency, forward):
+    def _make_jump(self, pc, word, instr, latency, forward):
+        """CALL and JMPL: link the PC into rd, then jump.  JMPL jumps
+        to rs1 + rs2/imm, which must be word aligned; CALL is JMPL
+        from %g0 + 0 to a static target, linking %o7."""
         (cpu, timing, iface, regs, bank, icache, iways, itag,
          refill) = self._context(pc)
-        target = (pc + 4 * instr.disp) & MASK32
+        call = instr.op == Op.CALL
+        rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
+        use_imm = call or instr.use_imm
+        imm = 0 if call else instr.imm & MASK32
+        static = (pc + 4 * instr.disp) & MASK32 if call else 0
         klass = instr.instr_class
         decode = _static_decode(instr)
 
         def handler(now):
-            bank[regs._map[15]] = pc  # %o7 <- address of the call
-            npc = cpu.npc
-            cpu.pc = npc
+            m = regs._map
+            a = bank[m[rs1]] if rs1 else 0
+            b = imm if use_imm else (bank[m[rs2]] if rs2 else 0)
+            target = (static + a + b) & MASK32
+            if target & 3:
+                raise SimulationError(f"jmpl to misaligned {target:#x}")
+            if rd:
+                bank[m[rd]] = pc
+            cpu.pc = cpu.npc
             cpu.npc = target
             cpu.instret += 1
             ts = timing.stats
@@ -749,16 +730,22 @@ class HandlerTable:
                 done = refill(now, "core-ifetch")
                 ts.icache_stall += done - now
                 now = done
+            base = latency
+            dest = timing._pending_load_dest
+            if dest > 0 and (m[rs1] == dest
+                             or (not use_imm and m[rs2] == dest)):
+                base += 1
+                ts.interlock_stall += 1
             timing._pending_load_dest = -1
-            ts.base_cycles += latency
-            now += latency
+            ts.base_cycles += base
+            now += base
             ts.cycles = now
             if forward is not None:
                 codes = cpu.codes
                 return forward(_new_packet(TracePacket, (
-                    pc, word, target, pc, 0, 0, codes.pack(), True, klass,
-                    decode | (codes.c << 16), cpu.y, 0, 0, regs._map[15],
-                    None,
+                    pc, word, target, pc, a, b, codes.cond, True, klass,
+                    decode | (codes.c << 16), cpu.y, m[rs1],
+                    0 if use_imm else m[rs2], m[rd], None,
                 )), now)
             if iface is not None:
                 s = iface.stats

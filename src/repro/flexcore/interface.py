@@ -19,13 +19,16 @@ Timing is event-driven: the fabric's service schedule is computed at
 enqueue time, which is exact for an in-order, single-engine fabric.
 
 The fabric is configured once, so its service is too.
-:meth:`CoreFabricInterface.service_for` hands the fast engine one
-service closure per (instruction class, access shape).  It binds the
-configuration's constants (period, synchroniser, decode penalty) and
-runs the extension's fabric op against a :class:`MetaPort`, which
-charges each meta-data access to the cache and the shared bus as the
-op makes it.  :meth:`CoreFabricInterface._service` is the reference:
-it calls ``extension.process``, which runs the same op against a
+:meth:`CoreFabricInterface.forward_tail` hands the fast engine one
+commit tail per (instruction class, access shape): ``on_commit``'s
+forwarded branch with the policy and the configuration's constants
+(period, synchroniser, decode penalty, ack mode) bound, the FIFO
+inlined, and the extension's fabric op run against a
+:class:`MetaPort`, which charges each meta-data access to the cache
+and the shared bus as the op makes it.  A forwarded instruction is
+then two calls, handler → tail → op.
+:meth:`CoreFabricInterface._service` is the reference: it calls
+``extension.process``, which runs the same op against a
 :class:`~repro.extensions.base.PacketOutcome`, then replays the
 recorded accesses through the same port, behind the meta-data TLB
 when that is on, and emits the tracer's events.
@@ -148,13 +151,15 @@ class MetaPort:
     finished system alive until the cyclic collector ran.
     """
 
-    __slots__ = ("time", "_iface", "_cache", "_bus", "_tracer")
+    __slots__ = ("time", "_iface", "_cache", "_bus", "_write_cycles",
+                 "_tracer")
 
     def __init__(self, iface: "CoreFabricInterface"):
         self.time = 0.0
         self._iface = weakref.proxy(iface)
         self._cache = iface.meta_cache
         self._bus = iface.bus
+        self._write_cycles = iface.bus.config.write_cycles
         self._tracer = iface._tracer
 
     def read(self, addr: int) -> None:
@@ -169,7 +174,7 @@ class MetaPort:
 
     def write(self, addr: int, mask: int = 0xFFFFFFFF) -> None:
         self._cache.write_bits(addr, mask)
-        self._bus.word_write(int(self.time), "meta-write")
+        self._bus.acquire(int(self.time), self._write_cycles, "meta-write")
 
 
 class CoreFabricInterface:
@@ -214,8 +219,6 @@ class CoreFabricInterface:
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
             )
         self._port = MetaPort(self)
-        #: op shape -> specialised service, built on first use.
-        self._services: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -263,64 +266,115 @@ class CoreFabricInterface:
                                      pc=outcome.trap.pc)
         return time
 
-    def service_for(self, klass: InstrClass, inst: int):
-        """The fabric service for forwarded packets of class ``klass``
-        whose INST field is ``inst``: ``service(packet, enqueue_time)
-        -> drain time``, exactly what :meth:`_service` returns.
+    def forward_tail(self, klass: InstrClass, inst: int, tails: dict):
+        """The fast engine's commit tail for a forwarded, never-annulled
+        instruction of class ``klass`` whose INST field is ``inst``:
+        ``tail(packet, now) -> commit time``, what :meth:`on_commit`
+        returns for that packet's record.
 
-        It is specialised to the extension's op for that shape unless
-        the run needs the reference path: a tracer (its events live in
-        ``_service``), a meta-data TLB, a ``process`` that is not the
-        op adapter (overridden, or patched on the instance as the
-        ``fifo-drop`` fault does), or an extension without ops.
+        One call takes the packet from the handler to the fabric op:
+        FIFO retire/check/push, fabric timing, the op against the
+        :class:`MetaPort`, trap latch and ack, with the policy, ack
+        mode and configuration folded into constants.  Runs that need
+        the reference path get the same tail with :meth:`_service` in
+        the op's place: a tracer (its events live there), a meta-data
+        TLB, a ``process`` that is not the op adapter (overridden, or
+        patched on the instance as the ``fifo-drop`` fault does), or
+        an extension without ops.  The tail itself emits no tracer
+        events: the fast engine only runs untraced, and metrics come
+        from the stats at run end.
+
+        One tail serves every PC of a (class, op shape).  ``tails`` is
+        the memo; the handler table owns it, so a table built after a
+        CFGR change or a ``process`` patch decides afresh, and no tail
+        is cached on the interface it references.
         """
         from repro.extensions.base import MonitorExtension
 
         extension = self.extension
-        if (self._tracer is not None or self.config.meta_tlb_entries
-                or getattr(extension.process, "__func__", None)
-                is not MonitorExtension.process):
-            return self._service
         shape = extension.op_shape(klass, inst)
-        service = self._services.get(shape)
-        if service is None:
+        tail = tails.get((klass, shape))
+        if tail is not None:
+            return tail
+        op = None
+        if (self._tracer is None and not self.config.meta_tlb_entries
+                and getattr(extension.process, "__func__", None)
+                is MonitorExtension.process):
             op = extension.fabric_op(shape)
-            if op is None:
-                return self._service
-            service = self._services[shape] = self._specialise(*op)
-        return service
-
-    def _specialise(self, cycles: int, op):
-        """``_service`` with the packet's op and initiation interval
-        fixed, the configuration folded into constants, and no TLB or
-        tracer branches (``service_for`` keeps those runs on
-        ``_service``)."""
         config = self.config
         period = self._period
-        if not config.predecode:
-            cycles += config.decode_penalty
-        busy = cycles * period
+        busy = 0.0
+        if op is not None:
+            cycles, op = op
+            if not config.predecode:
+                cycles += config.decode_penalty
+            busy = cycles * period
         sync = config.sync_fabric_cycles * period
+        ack_sync = config.sync_fabric_cycles
+        policy = self.cfgr.policy(klass)
+        best_effort = policy == _BEST_EFFORT
+        # FLEX is never fused, so the READ_STATUS clause of
+        # ``on_commit``'s ack rule is moot here.
+        needs_ack = policy == _ALWAYS_ACK or config.precise_exceptions
+        fifo = self.fifo
+        drains = fifo._drains
+        retire = drains.popleft
+        append = drains.append
+        depth = fifo.depth
         ceil = math.ceil
         port = self._port
         iface = self
 
-        def service(packet: TracePacket, enqueue_time: float) -> float:
-            earliest = ceil((enqueue_time + sync) / period) * period
-            start = iface._fabric_free
-            if earliest > start:
-                start = earliest
-            port.time = start + busy
-            trap = op(packet, port)
-            time = port.time
-            iface.stats.fabric_busy_cycles += time - start
-            iface._fabric_free = time
-            if trap is not None and iface.pending_trap is None:
-                iface.pending_trap = trap
-                iface.trap_time = time
-            return time
+        def tail(packet: TracePacket, now):
+            stats = iface.stats
+            stats.committed += 1
+            while drains and drains[0] <= now:
+                retire()
+            if len(drains) >= depth:
+                if best_effort:
+                    stats.dropped += 1
+                    fifo.stats.dropped += 1
+                    return now
+                wait = drains[0] - now
+                stats.fifo_stall_cycles += wait
+                fifo.stats.full_stall_cycles += wait
+                now += wait
+                while drains and drains[0] <= now:
+                    retire()
+            stats.forwarded += 1
+            by_class = stats.forwarded_by_class
+            by_class[klass] = by_class.get(klass, 0) + 1
+            if op is None:
+                drain = iface._service(packet, now)
+            else:
+                # ``_service`` with the op, its initiation interval and
+                # the configuration fixed, and no TLB or tracer.
+                earliest = ceil((now + sync) / period) * period
+                start = iface._fabric_free
+                if earliest > start:
+                    start = earliest
+                port.time = start + busy
+                trap = op(packet, port)
+                drain = port.time
+                stats.fabric_busy_cycles += drain - start
+                iface._fabric_free = drain
+                if trap is not None and iface.pending_trap is None:
+                    iface.pending_trap = trap
+                    iface.trap_time = drain
+            append(drain)
+            fifo_stats = fifo.stats
+            fifo_stats.enqueued += 1
+            occupancy = len(drains)
+            if occupancy > fifo_stats.max_occupancy:
+                fifo_stats.max_occupancy = occupancy
+            if needs_ack:
+                ack_at = drain + ack_sync
+                stats.ack_stall_cycles += ack_at - now
+                now = ack_at
+            return now
 
-        return service
+        tails[klass, shape] = tail
+        return tail
 
     def _tlb_lookup(self, addr: int, time: float) -> float:
         """Translate a meta-data address; a miss costs a table walk

@@ -530,11 +530,10 @@ class Assembler:
                                 rd=reg(operands[1]))]
         if mnemonic == "wr":
             if operands[-1].strip() != "%y":
-                raise err("only 'wr %rs1[, %rs2], %y' is supported")
-            rs1 = reg(operands[0])
-            rs2 = reg(operands[1]) if len(operands) == 3 else 0
-            return [Instruction(op=Op.FORMAT3_ALU, opcode=Op3.WRY,
-                                rs1=rs1, rs2=rs2)]
+                raise err("only 'wr %rs1[, %rs2 | simm13], %y' is "
+                          "supported")
+            return [alu(Op3.WRY, reg(operands[0]),
+                        operands[1] if len(operands) == 3 else "%g0", 0)]
         if mnemonic == "mov":
             if operands[1].strip() == "%y":
                 return [Instruction(op=Op.FORMAT3_ALU, opcode=Op3.WRY,

@@ -132,6 +132,8 @@ def disassemble(word: int, pc: int = 0) -> str:
     if op3 == Op3.RDY:
         return f"rd %y, {register_name(instr.rd)}"
     if op3 == Op3.WRY:
+        if instr.use_imm or instr.rs2:
+            return f"wr {register_name(instr.rs1)}, {_src2(instr)}, %y"
         return f"wr {register_name(instr.rs1)}, %y"
     if op3 == Op3.RETT:
         return f"rett {register_name(instr.rs1)} + {_src2(instr)}"

@@ -15,6 +15,7 @@ caller learns its completion time.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -40,11 +41,6 @@ class BusStats:
     transactions: dict[str, int] = field(default_factory=dict)
     busy_cycles: dict[str, int] = field(default_factory=dict)
     wait_cycles: dict[str, int] = field(default_factory=dict)
-
-    def record(self, who: str, wait: int, duration: int) -> None:
-        self.transactions[who] = self.transactions.get(who, 0) + 1
-        self.busy_cycles[who] = self.busy_cycles.get(who, 0) + duration
-        self.wait_cycles[who] = self.wait_cycles.get(who, 0) + wait
 
     @property
     def total_busy(self) -> int:
@@ -74,24 +70,30 @@ class SharedBus:
 
     def acquire(self, now: int, duration: int, who: str) -> int:
         """Occupy the bus for ``duration`` cycles starting no earlier
-        than ``now``; return the completion time."""
-        start = max(now, self.busy_until)
-        self.busy_until = start + duration
-        self.stats.record(who, start - now, duration)
+        than ``now``; return the completion time.  Every bus charge is
+        this one call (store buffers and meta-data writes call it
+        directly), so it updates the per-requester stats inline."""
+        start = self.busy_until
+        if now > start:
+            start = now
+        done = self.busy_until = start + duration
+        stats = self.stats
+        counts = stats.transactions
+        counts[who] = counts.get(who, 0) + 1
+        counts = stats.busy_cycles
+        counts[who] = counts.get(who, 0) + duration
+        counts = stats.wait_cycles
+        counts[who] = counts.get(who, 0) + (start - now)
         if self._tracer is not None:
             self._tracer.span(start, duration, "bus", f"bus.{who}",
                               wait=start - now)
-        return self.busy_until
+        return done
 
-    # Convenience wrappers -------------------------------------------------
+    # Convenience wrapper --------------------------------------------------
 
     def line_refill(self, now: int, who: str) -> int:
         """A full cache-line refill from SDRAM; returns completion time."""
         return self.acquire(now, self.config.refill_cycles, who)
-
-    def word_write(self, now: int, who: str) -> int:
-        """A posted write-through word write; returns completion time."""
-        return self.acquire(now, self.config.write_cycles, who)
 
     def reset(self) -> None:
         self.busy_until = 0
@@ -123,27 +125,36 @@ class StoreBuffer:
     Stores are posted into the buffer and drain to the bus in order.
     The core only stalls when the buffer is full — the dominant effect
     that makes stores cheap on Leon3 despite the write-through policy.
+
+    The drain times never decrease (the bus serialises transactions),
+    so they sit in a deque and retire from the front.  The bus's
+    configuration is fixed once it exists; the write occupancy is read
+    here once.
     """
 
     def __init__(self, bus: SharedBus, depth: int = 8, who: str = "store"):
         self.bus = bus
         self.depth = depth
         self.who = who
-        self._drain_times: list[int] = []
+        self._write_cycles = bus.config.write_cycles
+        self._drain_times: deque[int] = deque()
         self.stall_cycles = 0
 
     def push(self, now: int) -> int:
         """Post a store at time ``now``; return the (possibly delayed)
         time at which the core may proceed."""
-        self._drain_times = [t for t in self._drain_times if t > now]
+        drains = self._drain_times
+        while drains and drains[0] <= now:
+            drains.popleft()
         proceed = now
-        if len(self._drain_times) >= self.depth:
+        if len(drains) >= self.depth:
             # Stall until the oldest entry drains.
-            proceed = self._drain_times[0]
+            proceed = drains.popleft()
             self.stall_cycles += proceed - now
-            self._drain_times = [t for t in self._drain_times if t > proceed]
-        done = self.bus.word_write(proceed, self.who)
-        self._drain_times.append(done)
+            while drains and drains[0] <= proceed:
+                drains.popleft()
+        drains.append(self.bus.acquire(proceed, self._write_cycles,
+                                       self.who))
         return proceed
 
     def drain_time(self) -> int:
@@ -151,7 +162,7 @@ class StoreBuffer:
         return self._drain_times[-1] if self._drain_times else 0
 
     def reset(self) -> None:
-        self._drain_times = []
+        self._drain_times.clear()
         self.stall_cycles = 0
 
     def snapshot_state(self) -> dict:
@@ -161,5 +172,5 @@ class StoreBuffer:
         }
 
     def restore_state(self, state: dict) -> None:
-        self._drain_times = list(state["drains"])
+        self._drain_times = deque(state["drains"])
         self.stall_cycles = state["stall_cycles"]

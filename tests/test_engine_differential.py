@@ -11,8 +11,11 @@ the loop control:
 * a hypothesis property over random programs (ALU mixes, word, half
   and byte loads and stores, annulled delay slots, undecodable words,
   %g0 as source and destination, a leaf routine called from two
-  window depths) under a drawn extension, each spilling its registers
-  to memory;
+  window depths, ``rd``/``wr %y`` — ``wr`` sometimes right after a
+  load into its second source — and ``jmpl`` through a register,
+  sometimes to a misaligned target) under a drawn extension,
+  sometimes forwarding every class, each spilling its registers to
+  memory;
 * the full paper matrix — six workloads under every shipped extension
   including the MDL-compiled specs — at the experiment configuration;
 * mid-run checkpoint/restore and rollback recovery, including
@@ -27,10 +30,12 @@ the loop control:
   forwarded branches and calls;
 * the fault models that run on the fast engine (``fifo-drop`` and
   ``lut-config``), one armed fault each;
-* which fabric service the fast engine's forward tail installs: the
-  paper monitors' specialised ops by default, the reference
-  ``_service`` under a tracer, a meta-data TLB, an armed ``fifo-drop``
-  or an MDL monitor.
+* what the fast engine's forward tails run: the paper monitors'
+  fabric ops for every fused class (RDY, WRY and JMPL included), the
+  reference ``_service`` under a tracer, a meta-data TLB, an armed
+  ``fifo-drop`` or an MDL monitor;
+* a directed ``wr %g1, %l0, %y`` right after a load into %l0: one
+  load-use interlock and SRC2 = phys(%l0) on both engines.
 """
 
 import pytest
@@ -45,6 +50,7 @@ from repro.evaluation.config import (
 from repro.extensions import EXTENSION_NAMES, create_extension
 from repro.faultinject.models import FaultSpec, create_model
 from repro.flexcore.cfgr import ForwardPolicy
+from repro.flexcore.packet import TracePacket
 from repro.flexcore.system import (
     DEFAULT_RECOVERY_LATENCY,
     FlexCoreSystem,
@@ -149,6 +155,21 @@ _SKIP = st.tuples(st.just("skip"), _REG_INDEX, _REG_INDEX)
 #: call ``leaf`` directly and through ``outer``: the leaf's fused
 #: handlers run under two window pointers.
 _CALL = st.tuples(st.just("call"))
+#: the Y register: ``rd %y`` into a drawn register, and ``wr`` in
+#: register and immediate form, sometimes right after a load into its
+#: second source (the load-use interlock on rs2).
+_RDY = st.tuples(st.just("rdy"), _REG_INDEX)
+_WRY = st.tuples(
+    st.just("wry"), _REG_INDEX,
+    st.one_of(_REG_INDEX,
+              st.integers(-4096, 4095).map(lambda i: ("imm", i))),
+    st.one_of(st.none(), _BUF_OFFSET),
+)
+#: ``jmpl`` through a register to a computed target, in register and
+#: immediate form, linking into a drawn register; a target 2 bytes
+#: past the label is misaligned, and both engines must fail alike.
+_JMPL = st.tuples(st.just("jmpl"), _REG_INDEX, st.booleans(),
+                  st.sampled_from((0, 0, 0, 2)))
 
 #: the routines ``_CALL`` reaches, placed after the halt.  ``leaf``
 #: reads its ins (the caller's %o0/%o1), loads into a local and uses
@@ -179,14 +200,19 @@ _ROUTINES = [
 def monitored_programs(draw):
     seeds = draw(st.lists(st.integers(0, MASK32), min_size=4,
                           max_size=4))
-    ops = draw(st.lists(st.one_of(_ALU, _STORE, _LOAD, _SKIP, _CALL),
+    ops = draw(st.lists(st.one_of(_ALU, _STORE, _LOAD, _SKIP, _CALL,
+                                  _RDY, _WRY, _JMPL),
                         min_size=1, max_size=24))
     loops = draw(st.integers(1, 3))
     # An undecodable word in place of the halt: both engines must
     # raise the decoder's SimulationError identically when reached.
     bad_tail = draw(st.sampled_from((False, False, False, True)))
     extension = draw(st.sampled_from((None, "umc", "dift", "bc")))
-    return seeds, ops, loops, bad_tail, extension
+    # Forward every class as well, so each fused handler's packet
+    # (RDY/WRY among them, which no paper monitor forwards) reaches
+    # the monitor's op on the fast engine.
+    forward_all = draw(st.booleans())
+    return seeds, ops, loops, bad_tail, extension, forward_all
 
 
 def _emit(seeds, ops, loops, bad_tail):
@@ -220,6 +246,27 @@ def _emit(seeds, ops, loops, bad_tail):
         elif kind == "call":
             lines += ["        call    leaf", "        nop",
                       "        call    outer", "        nop"]
+        elif kind == "rdy":
+            lines.append(f"        rd      %y, {REGS[op[1]]}")
+        elif kind == "wry":
+            _, rs1, src2, load_offset = op
+            if isinstance(src2, tuple):
+                operand = str(src2[1])
+            else:
+                operand = REGS[src2]
+                if load_offset is not None:
+                    lines.append(f"        ld      [%g4 + {load_offset}], "
+                                 f"{operand}")
+            lines.append(f"        wr      {REGS[rs1]}, {operand}, %y")
+        elif kind == "jmpl":
+            _, link, register_form, skew = op
+            lines.append(f"        set     jt{index} + {skew + 4}, %g6")
+            if register_form:
+                lines += ["        mov     -4, %g7",
+                          f"        jmpl    %g6 + %g7, {REGS[link]}"]
+            else:
+                lines.append(f"        jmpl    %g6 + -4, {REGS[link]}")
+            lines += ["        nop", f"jt{index}:"]
         else:
             _, rs1, rs2 = op
             lines.append(f"        subcc   {REGS[rs1]}, {REGS[rs2]}, "
@@ -258,11 +305,14 @@ FUSED_ENGINES = ("fast",)
 @settings(max_examples=50, deadline=None)
 @given(monitored_programs())
 def test_random_programs_bit_identical(case):
-    seeds, ops, loops, bad_tail, extension = case
+    seeds, ops, loops, bad_tail, extension, forward_all = case
     program = _emit(seeds, ops, loops, bad_tail)
     runs = {}
     for engine in ("reference",) + FUSED_ENGINES:
         system = FlexCoreSystem(program, _make_extension(extension))
+        if extension is not None and forward_all:
+            system.interface.cfgr.set_classes(InstrClass,
+                                              ForwardPolicy.ALWAYS)
         try:
             result = system.run_bounded(engine=engine,
                                         max_instructions=20_000)
@@ -689,41 +739,40 @@ def test_armed_fault_bit_identical_across_engines(model):
 
 
 # ---------------------------------------------------------------------------
-# Layer 7: the fabric service the forward tail installs.
+# Layer 7: what the forward tails run.
 
 PAPER_MONITORS = ("umc", "dift", "bc", "sec")
 
 #: Classes the fast engine never fuses: they commit through
 #: ``on_commit``, which always calls the reference ``_service``.
 UNFUSED_CLASSES = frozenset({
-    InstrClass.FLEX, InstrClass.JMPL, InstrClass.TRAP, InstrClass.SAVE,
-    InstrClass.RESTORE, InstrClass.RDSR, InstrClass.WRSR,
-    InstrClass.RETT, InstrClass.LOAD_DOUBLE, InstrClass.STORE_DOUBLE,
+    InstrClass.FLEX, InstrClass.TRAP, InstrClass.SAVE,
+    InstrClass.RESTORE, InstrClass.RETT, InstrClass.LOAD_DOUBLE,
+    InstrClass.STORE_DOUBLE,
 })
 
 
 def _probe_services(system):
-    """Record, per class, whether ``service_for`` installed a
-    specialised service, and count the packets per class that reach
-    the reference ``_service``."""
+    """Record the classes the fast engine built a forward tail for,
+    and count the packets per class that reach the reference
+    ``_service`` (a tail that needs it calls it in its op's place)."""
     iface = system.interface
     reference = iface._service
-    installed: dict = {}
+    installed: set = set()
     reached: dict = {}
 
     def counted(packet, now):
         reached[packet.opcode] = reached.get(packet.opcode, 0) + 1
         return reference(packet, now)
 
-    real_service_for = iface.service_for
+    real_forward_tail = iface.forward_tail
 
-    def service_for(klass, inst):
-        service = real_service_for(klass, inst)
-        installed.setdefault(klass, set()).add(service is not counted)
-        return service
+    def forward_tail(klass, inst, tails):
+        installed.add(klass)
+        return real_forward_tail(klass, inst, tails)
 
     iface._service = counted
-    iface.service_for = service_for
+    iface.forward_tail = forward_tail
     return installed, reached
 
 
@@ -733,21 +782,50 @@ def _fused_forwarded(result):
             if count and klass not in UNFUSED_CLASSES}
 
 
-@pytest.mark.parametrize("extension", PAPER_MONITORS)
-def test_paper_monitors_run_specialised_services(extension):
-    program = build_workload("sha", 0.125).build()
-    system = _configured_system(program, extension)
+def _assert_fused_classes_specialised(extension, program, tweak=None):
+    """The fast run of ``program`` under ``extension`` serves every
+    fused forwarded class with the op's tail, never ``_service``, and
+    stays identical to the reference; returns the fused classes."""
+    system = _configured_system(program, extension, tweak=tweak)
     installed, reached = _probe_services(system)
     result = system.run_bounded(engine="fast")
     assert result.engine == "fast"
     fused = _fused_forwarded(result)
     assert fused, "no fused class was forwarded"
-    assert fused <= set(installed)
-    assert all(kinds == {True} for kinds in installed.values()), installed
+    assert fused <= installed
     assert not fused & set(reached), reached
-    reference = _configured_system(program, extension).run_bounded(
+    reference = _configured_system(program, extension,
+                                   tweak=tweak).run_bounded(
         engine="reference")
     _assert_identical(reference, result)
+    return fused
+
+
+@pytest.mark.parametrize("extension", PAPER_MONITORS)
+def test_paper_monitors_run_specialised_services(extension):
+    program = build_workload("sha", 0.125).build()
+    fused = _assert_fused_classes_specialised(extension, program)
+    if extension == "dift":
+        assert InstrClass.JMPL in fused
+
+
+def _forward_y_and_jumps(system):
+    system.interface.cfgr.set_classes(
+        (InstrClass.RDSR, InstrClass.WRSR, InstrClass.JMPL),
+        ForwardPolicy.ALWAYS)
+
+
+@pytest.mark.parametrize("extension", PAPER_MONITORS)
+def test_forwarded_y_and_jumps_run_specialised(extension):
+    """fft reads and writes Y, and sha returns through ``jmpl``:
+    forwarded, all three reach the monitor's op from their fused
+    handlers."""
+    fused = set()
+    for workload in ("fft", "sha"):
+        program = build_workload(workload, 0.125).build()
+        fused |= _assert_fused_classes_specialised(extension, program,
+                                                   _forward_y_and_jumps)
+    assert {InstrClass.RDSR, InstrClass.WRSR, InstrClass.JMPL} <= fused
 
 
 def _arm_fifo_drop(system):
@@ -777,21 +855,26 @@ def test_reference_service_where_the_run_needs_it(case):
     installed, reached = _probe_services(system)
     result = system.run_bounded(engine="fast")
     assert result.engine == "fast"
-    assert _fused_forwarded(result) <= set(installed)
-    assert all(kinds == {False} for kinds in installed.values()), installed
+    assert _fused_forwarded(result) <= installed
     assert sum(reached.values()) == result.interface_stats.forwarded > 0
 
 
 def test_tracer_keeps_the_reference_service():
     """A tracer already sends the whole run down the reference loop;
-    ``service_for`` refuses to specialise under one all the same,
-    since the tracer's events live in ``_service``."""
+    a forward tail built under one calls ``_service`` all the same,
+    since the tracer's events live there."""
     program = build_workload("bitcount", 0.125).build()
     system = FlexCoreSystem(program, create_extension("dift"),
                             telemetry=Telemetry.enabled(trace=True))
     iface = system.interface
+    installed, reached = _probe_services(system)
     word = system.memory.read_word(program.entry)
-    assert iface.service_for(InstrClass.LOAD_WORD, word) == iface._service
+    tail = iface.forward_tail(InstrClass.LOAD_WORD, word, {})
+    packet = TracePacket(program.entry, word, 0x10000, 0, 0x10000, 0, 0,
+                         False, InstrClass.LOAD_WORD, 1, 0, 8, 0, 9)
+    assert tail(packet, 0) == 0  # no ack: commit does not wait
+    assert reached == {InstrClass.LOAD_WORD: 1}
+    assert iface.stats.forwarded == 1 and iface.drain_time() > 0
     result = system.run_bounded(engine="fast")
     assert result.engine == "reference"
 
@@ -811,9 +894,50 @@ def test_branch_upset_to_dift_runs_specialised():
         installed, reached = _probe_services(system)
         runs[engine] = system.run_bounded(engine=engine)
         if engine == "fast":
-            assert installed[InstrClass.BRANCH] == {True}
+            assert InstrClass.BRANCH in installed
             assert InstrClass.BRANCH not in reached
     forwarded = runs["reference"].interface_stats.forwarded_by_class
     assert forwarded.get(InstrClass.BRANCH, 0) > 0
     for engine in FUSED_ENGINES:
         _assert_identical(runs["reference"], runs[engine])
+
+
+# ---------------------------------------------------------------------------
+# Directed: WRY's second source.
+
+_WRY_AFTER_LOAD = """
+        .text
+start:  set     buf, %g2
+        mov     5, %g1
+        ld      [%g2], %l0
+        wr      %g1, %l0, %y
+        rd      %y, %o0
+        ta      0
+        nop
+        .data
+buf:    .word   0x1234
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_wry_reads_its_second_source(engine):
+    """``wr %g1, %l0, %y`` right after a load into %l0 waits out the
+    load-use interlock on rs2 and forwards SRC2 = phys(%l0)."""
+    program = assemble(_WRY_AFTER_LOAD, entry="start")
+    system = FlexCoreSystem(program, create_extension("dift"))
+    system.interface.cfgr.set(InstrClass.WRSR, ForwardPolicy.ALWAYS)
+    packets = []
+    process = system.extension.process
+
+    def spy(packet):
+        packets.append(packet)
+        return process(packet)
+
+    system.extension.process = spy
+    result = system.run_bounded(engine=engine)
+    assert result.engine == engine and result.halted
+    [wry] = [p for p in packets if p.opcode == InstrClass.WRSR]
+    assert wry.src2 == system.cpu.regs.physical_index(16)  # %l0
+    assert (wry.srcv1, wry.srcv2) == (5, 0x1234)
+    assert result.core_stats.interlock_stall == 1
+    assert system.cpu.regs.read(8) == 5 ^ 0x1234  # %o0 <- Y
