@@ -9,9 +9,7 @@ from benchmarks.conftest import run_once
 from repro.evaluation import format_figure4, run_figure4
 
 
-def test_figure4_forwarded_fraction(benchmark, bench_scale,
-                                    bench_engine):
-    fractions = run_once(benchmark, run_figure4, scale=bench_scale,
-                         engine=bench_engine)
+def test_figure4_forwarded_fraction(benchmark, bench_scale):
+    fractions = run_once(benchmark, run_figure4, scale=bench_scale)
     print()
     print(format_figure4(fractions))

@@ -11,9 +11,7 @@ from benchmarks.conftest import run_once
 from repro.evaluation import format_figure5, run_figure5
 
 
-def test_figure5_fifo_size_sweep(benchmark, bench_scale,
-                                 bench_engine):
-    result = run_once(benchmark, run_figure5, scale=bench_scale,
-                      engine=bench_engine)
+def test_figure5_fifo_size_sweep(benchmark, bench_scale):
+    result = run_once(benchmark, run_figure5, scale=bench_scale)
     print()
     print(format_figure5(result))

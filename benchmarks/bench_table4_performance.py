@@ -11,9 +11,7 @@ from benchmarks.conftest import run_once
 from repro.evaluation import format_table4, run_table4
 
 
-def test_table4_normalized_execution_time(benchmark, bench_scale,
-                                          bench_engine):
-    result = run_once(benchmark, run_table4, scale=bench_scale,
-                      engine=bench_engine)
+def test_table4_normalized_execution_time(benchmark, bench_scale):
+    result = run_once(benchmark, run_table4, scale=bench_scale)
     print()
     print(format_table4(result))

@@ -6,11 +6,10 @@ the tables).  ``REPRO_BENCH_SCALE`` scales the workload sizes; the
 default of 1.0 is the calibrated size whose results EXPERIMENTS.md
 records.  Set it to 0.25 for a quick smoke run.
 
-``REPRO_BENCH_ENGINE`` selects the execution loop for the
-simulation-sweep benchmarks (Table IV, Figures 4/5): ``fast`` (the
-default, the predecoded engine) or ``reference``.  Both produce
-bit-identical results — ``repro bench`` proves it — so the choice
-only moves wall clock.
+The simulation sweeps run on the fast engine.  Its digests equal the
+reference engine's (``tests/test_engine_differential.py`` referees
+that), so these scripts time one engine; host-time measurement lives
+in ``perfbench/``.
 """
 
 import os
@@ -18,17 +17,11 @@ import os
 import pytest
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-BENCH_ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "fast")
 
 
 @pytest.fixture(scope="session")
 def bench_scale() -> float:
     return BENCH_SCALE
-
-
-@pytest.fixture(scope="session")
-def bench_engine() -> str:
-    return BENCH_ENGINE
 
 
 def run_once(benchmark, function, *args, **kwargs):

@@ -6,7 +6,6 @@ run      assemble and simulate a .s file, optionally with a monitor
 trace    simulate with full telemetry; export a Perfetto trace
 inject   run a fault-injection campaign against a monitor
 sweep    run an evaluation sweep grid across the worker pool
-bench    time the fast engine against the reference engine
 compile  compile an MDL monitor spec; synthesize or run it
 disasm   assemble a .s file and print the disassembly listing
 table3   print the Table III area/power/frequency report
@@ -30,7 +29,6 @@ Examples::
         --perfetto crc32.json
     python -m repro inject --extension sec --workload crc32 \\
         --faults 200 --seed 1 --metrics
-    python -m repro bench --quick --json BENCH_perf.json
     python -m repro compile examples/redzone.mdl --table3
     python -m repro compile umc --run sha --scale 0.125
     python -m repro disasm prog.s
@@ -623,32 +621,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         report.write_json(args.json)
         print(f"\nJSON report written to {args.json}")
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the fast engine against the reference engine (and, with
-    --campaign, a warm fault campaign against the cold baseline) and
-    verify every digest is bit-identical; nonzero exit on
-    divergence."""
-    import json
-
-    from repro.engine.bench import format_bench, run_bench
-
-    scale = args.scale
-    if scale is None:
-        scale = 0.125 if args.quick else 1.0
-    benchmarks = (
-        tuple(args.benchmarks.split(",")) if args.benchmarks else None
-    )
-    payload = run_bench(scale=scale, quick=args.quick, jobs=args.jobs,
-                        benchmarks=benchmarks, campaign=args.campaign)
-    print(format_bench(payload))
-    if args.json is not None:
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"payload      : {args.json}")
-    return 0 if payload["digests_match"] else 1
 
 
 def cmd_disasm(args: argparse.Namespace) -> int:
@@ -1304,37 +1276,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print sweep/campaign progress")
     _add_pool_robustness_args(explore_cmd)
     explore_cmd.set_defaults(handler=cmd_explore)
-
-    bench_cmd = commands.add_parser(
-        "bench",
-        help="time the fast engine against the reference engine",
-    )
-    bench_cmd.add_argument(
-        "--quick", action="store_true",
-        help="smoke matrix: baseline + each extension at its paper "
-             "fabric clock, scale 0.125 (the CI perf-smoke job)",
-    )
-    bench_cmd.add_argument(
-        "--campaign", action="store_true",
-        help="also time a fault campaign warm (prefix-snapshot "
-             "forking) vs cold, checking the reports stay "
-             "bit-identical",
-    )
-    bench_cmd.add_argument(
-        "--scale", type=float, default=None,
-        help="workload scale (default: 1.0, or 0.125 with --quick)",
-    )
-    bench_cmd.add_argument(
-        "--benchmarks", default=None,
-        help="comma-separated workload subset (default: all six)",
-    )
-    bench_cmd.add_argument("--jobs", type=int, default=1,
-                           help="worker processes per sweep")
-    bench_cmd.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the BENCH_perf.json payload here",
-    )
-    bench_cmd.set_defaults(handler=cmd_bench)
 
     disasm_cmd = commands.add_parser("disasm",
                                      help="disassemble a .s program")

@@ -1,7 +1,7 @@
 """Per-PC predecoded handler closures: the fast engine.
 
 The reference engine pays, for every committed instruction: a word
-fetch assembled byte-by-byte, a decode-cache lookup, a
+fetch, a decode-cache lookup, a
 :class:`~repro.core.executor.CommitRecord` allocation, a chain of
 ``isinstance``/opcode dispatch branches, a CFGR policy lookup, and an
 :meth:`~repro.flexcore.interface.CoreFabricInterface.on_commit` call
@@ -54,9 +54,9 @@ CALL's (link, then jump).  Fidelity rules the closures follow:
   file's window map ``regs._map``, which every CWP change rebuilds.
   Containers restored in place may be bound once: the FIFO's drain
   queue, the monitor's tag stores, the register bank ``regs._phys``,
-  the memory's page dict and the caches' per-set tag lists.
-* Registers, fetch, memory and fused loads index those containers
-  directly.
+  the memory's accessors and the caches' per-set tag lists.
+* Registers and cache tags are indexed directly; a fused load or
+  store makes one call, to the ``SparseMemory`` accessor of its size.
   An operand reads ``bank[m[rs]]`` (``%g0`` reads 0, a write to it is
   dropped) and ``m[rs]`` is the packet's physical register number.  A
   handler's PC is static, so its I-cache set and line tag are too: a
@@ -84,7 +84,6 @@ from repro.flexcore.packet import TracePacket
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Cond, Op, Op2, Op3, Op3Mem
-from repro.memory.backing import PAGE_MASK, PAGE_SIZE, MemoryFault
 
 MASK32 = 0xFFFFFFFF
 
@@ -106,77 +105,21 @@ def _write_y(a, b, carry, y):
 #: The full-ALU closures' ops: every ALU op, and WRY.
 _FULL_OPS = {**ALU_OPS, Op3.WRY: _write_y}
 
-#: Stores with fully fused closures (the fused loads are the keys of
-#: ``_page_accessors``' load map); LDD/STD (two accesses, even-rd
-#: checks) take the generic path.
-_FUSED_STORES = (Op3Mem.ST, Op3Mem.STB, Op3Mem.STH)
+#: Loads with fully fused closures: op3 -> (the ``SparseMemory``
+#: accessor they bind, sign bit).  A signed load whose sign bit is set
+#: is extended as ``CpuState._execute`` extends it.
+_FUSED_LOADS = {
+    Op3Mem.LD: ("read_word", 0),
+    Op3Mem.LDUB: ("read_byte", 0), Op3Mem.LDSB: ("read_byte", 0x80),
+    Op3Mem.LDUH: ("read_half", 0), Op3Mem.LDSH: ("read_half", 0x8000),
+}
 
-
-def _page_accessors(memory):
-    """Fast big-endian accessors over ``memory``'s page dict: word
-    read and write, and the sub-word loads by op3, zero- or
-    sign-extended.
-
-    Bit-compatible with :class:`SparseMemory`'s accessors, including
-    the misaligned-fault messages and zero-page allocation; an aligned
-    access never straddles a page.
-    """
-    pages = memory._pages
-
-    def read_word(addr):
-        if addr & 3:
-            raise MemoryFault(f"misaligned word read at {addr:#x}")
-        addr &= MASK32
-        page = pages.get(addr >> 12)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            pages[addr >> 12] = page
-        o = addr & PAGE_MASK
-        return ((page[o] << 24) | (page[o + 1] << 16)
-                | (page[o + 2] << 8) | page[o + 3])
-
-    def write_word(addr, value):
-        if addr & 3:
-            raise MemoryFault(f"misaligned word write at {addr:#x}")
-        addr &= MASK32
-        page = pages.get(addr >> 12)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            pages[addr >> 12] = page
-        o = addr & PAGE_MASK
-        value &= MASK32
-        page[o] = value >> 24
-        page[o + 1] = (value >> 16) & 0xFF
-        page[o + 2] = (value >> 8) & 0xFF
-        page[o + 3] = value & 0xFF
-
-    def half(sign):
-        def load(addr):
-            if addr & 1:
-                raise MemoryFault(f"misaligned half read at {addr:#x}")
-            addr &= MASK32
-            page = pages.get(addr >> 12)
-            if page is None:
-                page = bytearray(PAGE_SIZE)
-                pages[addr >> 12] = page
-            o = addr & PAGE_MASK
-            return ((((page[o] << 8) | page[o + 1]) ^ sign) - sign) & MASK32
-        return load
-
-    def byte(sign):
-        def load(addr):
-            addr &= MASK32
-            page = pages.get(addr >> 12)
-            if page is None:
-                page = bytearray(PAGE_SIZE)
-                pages[addr >> 12] = page
-            return ((page[addr & PAGE_MASK] ^ sign) - sign) & MASK32
-        return load
-
-    return read_word, write_word, {
-        Op3Mem.LD: read_word, Op3Mem.LDUB: byte(0), Op3Mem.LDSB: byte(0x80),
-        Op3Mem.LDUH: half(0), Op3Mem.LDSH: half(0x8000),
-    }
+#: Stores with fully fused closures, and the accessor they bind.
+#: LDD/STD (two accesses, even-rd checks) take the generic path.
+_FUSED_STORES = {
+    Op3Mem.ST: "write_word", Op3Mem.STB: "write_byte",
+    Op3Mem.STH: "write_half",
+}
 
 
 def _static_decode(instr: Instruction) -> int:
@@ -206,8 +149,6 @@ class HandlerTable:
         program = system.program
         self.text_lo = program.text_base
         self.text_hi = program.text_base + 4 * len(program.text)
-        self._read_word, self._write_word, self._loads = _page_accessors(
-            system.memory)
         #: (class, op shape) -> forward tail, for this table's handlers.
         self._tails: dict = {}
 
@@ -285,7 +226,7 @@ class HandlerTable:
             elif opcode == Op3.RDY:
                 factory = self._make_sethi
         elif op == Op.FORMAT3_MEM:
-            if opcode in self._loads:
+            if opcode in _FUSED_LOADS:
                 factory = self._make_load
             elif opcode in _FUSED_STORES:
                 factory = self._make_store
@@ -464,7 +405,9 @@ class HandlerTable:
         dsets = dcache._sets
         dnum = dcache._num_sets
         dshift = dcache._offset_bits
-        loadfn = self._loads[instr.opcode]
+        accessor, sign = _FUSED_LOADS[instr.opcode]
+        loadfn = getattr(self.system.memory, accessor)
+        extend = sign << 1
 
         def handler(now):
             m = regs._map
@@ -472,6 +415,8 @@ class HandlerTable:
             b = imm if use_imm else (bank[m[rs2]] if rs2 else 0)
             addr = (a + b) & MASK32
             value = loadfn(addr)
+            if value & sign:
+                value = (value - extend) & MASK32
             if rd:
                 bank[m[rd]] = value
             npc = cpu.npc
@@ -526,18 +471,11 @@ class HandlerTable:
         rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
         use_imm = instr.use_imm
         imm = instr.imm & MASK32
-        op3 = instr.opcode
         klass = instr.instr_class
         decode = _static_decode(instr)
         dcache_write = timing.dcache.write
         sb_push = timing.store_buffer.push
-        memory = self.system.memory
-        if op3 == Op3Mem.ST:
-            storefn = self._write_word
-        elif op3 == Op3Mem.STB:
-            storefn = memory.write_byte
-        else:  # STH
-            storefn = memory.write_half
+        storefn = getattr(self.system.memory, _FUSED_STORES[instr.opcode])
         text_lo, text_hi = self.text_lo, self.text_hi
         table = weakref.proxy(self)
 

@@ -12,9 +12,11 @@ outcome in an identity-checked on-disk cache
 
 The execution engine (``fast`` / ``reference``) is deliberately *not*
 part of a point's cache identity: the engines are bit-identical by
-contract, so an outcome computed by either is valid for both.  The
-``repro bench`` harness, which exists to *measure* the engines, never
-passes a cache directory.
+contract, so an outcome computed by either is valid for both.
+
+:func:`run_point` is the one place an experiment simulates a grid
+point and checks the workload's checksum; the software comparison and
+the decode ablation call it directly for their single runs.
 """
 
 from __future__ import annotations

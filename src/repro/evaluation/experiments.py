@@ -4,10 +4,13 @@ Every function returns plain data structures so the benchmark harness,
 the tests and the report generator can share them.  Formatting lives
 in :mod:`repro.evaluation.tables`.
 
-The simulation sweeps (Table IV, Figures 4 and 5) run through
-:class:`repro.engine.sweep.SweepRunner`, so they accept ``engine=``
-(fast by default; the engines are digest-identical) and ``jobs=`` to
-fan grid points across a process pool.
+Every simulation runs through :mod:`repro.engine.sweep` on the fast
+engine: the sweeps (Table IV, Figures 4 and 5) through
+:class:`~repro.engine.sweep.SweepRunner`, which accepts ``jobs=`` to
+fan grid points across a process pool, and the single runs of the
+software comparison and the decode ablation through
+:func:`~repro.engine.sweep.run_point`.  Both check each workload's
+checksum.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.evaluation.config import (
     CLOCK_RATIOS,
-    DEFAULT_FIFO_DEPTH,
     FIFO_SWEEP,
     FLEXCORE_RATIOS,
     experiment_system_config,
@@ -32,7 +34,6 @@ from repro.fabric.synthesis import (
     synthesize_fabric,
 )
 from repro.flexcore.packet import PACKET_BITS
-from repro.flexcore.system import FlexCoreSystem, RunResult
 from repro.software.instrumentation import SOFTWARE_TOOLS, run_instrumented
 from repro.workloads import build_workload, workload_names
 
@@ -42,34 +43,6 @@ def geomean(values) -> float:
     if not values:
         return 0.0
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def _run(
-    workload,
-    extension_name: str | None,
-    clock_ratio: float = 0.5,
-    fifo_depth: int = DEFAULT_FIFO_DEPTH,
-    scaled_memory: bool = True,
-    predecode: bool = True,
-    engine: str | None = None,
-) -> RunResult:
-    config = experiment_system_config(
-        clock_ratio=clock_ratio,
-        fifo_depth=fifo_depth,
-        scaled_memory=scaled_memory,
-        predecode=predecode,
-    )
-    extension = (
-        create_extension(extension_name) if extension_name else None
-    )
-    system = FlexCoreSystem(workload.build(), extension, config)
-    result = system.run(engine=engine)
-    if result.word(workload.checksum_symbol) != workload.expected_checksum:
-        raise AssertionError(
-            f"{workload.name} checksum mismatch under "
-            f"{extension_name or 'baseline'}"
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +122,6 @@ def run_table4(
     benchmarks=None,
     extensions=EXTENSION_NAMES,
     ratios=CLOCK_RATIOS,
-    engine: str | None = "fast",
     jobs: int = 1,
 ) -> Table4Result:
     """Normalized execution time per benchmark/extension/clock ratio.
@@ -163,7 +135,7 @@ def run_table4(
 
     benchmarks = benchmarks or workload_names()
     points = table4_points(scale, benchmarks, extensions, ratios)
-    outcomes = SweepRunner(jobs=jobs, engine=engine).run(points)
+    outcomes = SweepRunner(jobs=jobs).run(points)
     by_point = {o.point: o for o in outcomes}
     result = Table4Result()
     for bench in benchmarks:
@@ -193,7 +165,6 @@ def run_table4(
 def run_figure4(
     scale: int = 1,
     benchmarks=None,
-    engine: str | None = "fast",
     jobs: int = 1,
 ) -> dict[str, dict[str, float]]:
     """Fraction of committed instructions forwarded to the fabric.
@@ -209,7 +180,7 @@ def run_figure4(
         for bench in benchmarks
         for extension in EXTENSION_NAMES
     ]
-    outcomes = SweepRunner(jobs=jobs, engine=engine).run(points)
+    outcomes = SweepRunner(jobs=jobs).run(points)
     fractions: dict[str, dict[str, float]] = {b: {} for b in benchmarks}
     for outcome in outcomes:
         point = outcome.point
@@ -235,7 +206,6 @@ def run_figure5(
     scale: int = 1,
     depths=FIFO_SWEEP,
     benchmarks=None,
-    engine: str | None = "fast",
     jobs: int = 1,
 ) -> Figure5Result:
     """Average normalized execution time vs forward-FIFO size.
@@ -255,7 +225,7 @@ def run_figure5(
         for depth in depths
         for bench in benchmarks
     ]
-    outcomes = SweepRunner(jobs=jobs, engine=engine).run(points)
+    outcomes = SweepRunner(jobs=jobs).run(points)
     by_point = {o.point: o for o in outcomes}
     baselines = {
         b: by_point[SweepPoint(workload=b, scale=scale)].cycles
@@ -284,13 +254,17 @@ def run_figure5(
 
 def run_software(scale: int = 1, benchmarks=None) -> dict[str, dict[str, float]]:
     """Software-instrumentation slowdowns: {tool: {benchmark: x}}."""
+    from repro.engine.sweep import SweepPoint, run_point
+
     benchmarks = benchmarks or workload_names()
     config = experiment_system_config(clock_ratio=1.0)
     slowdowns: dict[str, dict[str, float]] = {}
     baselines = {}
     for bench in benchmarks:
         workload = build_workload(bench, scale)
-        baselines[bench] = (workload, _run(workload, None).cycles)
+        base = run_point(SweepPoint(workload=bench, scale=scale),
+                         workload=workload)
+        baselines[bench] = (workload, base.cycles)
     for tool, factory in SOFTWARE_TOOLS.items():
         spec = factory()
         slowdowns[tool] = {}
@@ -313,15 +287,18 @@ def run_decode_ablation(
 
     Returns {benchmark: (with_predecode, without)}.
     """
+    from repro.engine.sweep import SweepPoint, run_point
+
     benchmarks = benchmarks or workload_names()
     ratio = FLEXCORE_RATIOS[extension]
     out = {}
     for bench in benchmarks:
         workload = build_workload(bench, scale)
-        base = _run(workload, None).cycles
-        with_decode = _run(workload, extension, clock_ratio=ratio,
-                           predecode=True).cycles / base
-        without = _run(workload, extension, clock_ratio=ratio,
-                       predecode=False).cycles / base
+        point = SweepPoint(workload=bench, scale=scale)
+        base = run_point(point, workload=workload).cycles
+        point = replace(point, extension=extension, clock_ratio=ratio)
+        with_decode = run_point(point, workload=workload).cycles / base
+        point = replace(point, predecode=False)
+        without = run_point(point, workload=workload).cycles / base
         out[bench] = (with_decode, without)
     return out

@@ -8,6 +8,9 @@ modelled separately in :mod:`repro.memory.cache` and
 
 from __future__ import annotations
 
+import struct
+
+MASK32 = 0xFFFFFFFF
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
@@ -23,60 +26,114 @@ class SparseMemory:
     def __init__(self):
         self._pages: dict[int, bytearray] = {}
 
-    def _page(self, addr: int) -> bytearray:
-        index = addr >> PAGE_BITS
-        page = self._pages.get(index)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[index] = page
-        return page
-
     # ------------------------------------------------------------------
-    # Byte-granularity primitives.
+    # The byte, half and word accessors index the page dict inline, not
+    # through a helper: the fast engine's fused loads and stores bind
+    # them, so each access is one call.  A read of an unmapped page
+    # allocates it zeroed, as a write does, and addresses wrap at 32
+    # bits.
 
     def read_byte(self, addr: int) -> int:
-        addr &= 0xFFFFFFFF
-        return self._page(addr)[addr & PAGE_MASK]
+        addr &= MASK32
+        page = self._pages.get(addr >> PAGE_BITS)
+        if page is None:
+            page = self._pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+        return page[addr & PAGE_MASK]
 
     def write_byte(self, addr: int, value: int) -> None:
-        addr &= 0xFFFFFFFF
-        self._page(addr)[addr & PAGE_MASK] = value & 0xFF
+        addr &= MASK32
+        page = self._pages.get(addr >> PAGE_BITS)
+        if page is None:
+            page = self._pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+        page[addr & PAGE_MASK] = value & 0xFF
+
+    def _spans(self, addr: int, length: int):
+        """Yield ``(page, offset, size)`` for each page slice of the
+        ``length`` bytes at ``addr``, allocating pages as it goes."""
+        pages = self._pages
+        while length > 0:
+            addr &= MASK32
+            page = pages.get(addr >> PAGE_BITS)
+            if page is None:
+                page = pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+            offset = addr & PAGE_MASK
+            size = min(length, PAGE_SIZE - offset)
+            yield page, offset, size
+            addr += size
+            length -= size
 
     def read_bytes(self, addr: int, length: int) -> bytes:
-        return bytes(self.read_byte(addr + i) for i in range(length))
+        return b"".join(page[offset:offset + size]
+                        for page, offset, size in self._spans(addr, length))
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        for i, byte in enumerate(data):
-            self.write_byte(addr + i, byte)
+        data = bytes(data)
+        start = 0
+        for page, offset, size in self._spans(addr, len(data)):
+            page[offset:offset + size] = data[start:start + size]
+            start += size
 
     # ------------------------------------------------------------------
-    # Sized big-endian accessors with SPARC alignment rules.
+    # Sized big-endian accessors with SPARC alignment rules.  An
+    # aligned access never straddles a page.
 
     def read_word(self, addr: int) -> int:
         if addr & 3:
             raise MemoryFault(f"misaligned word read at {addr:#x}")
-        return int.from_bytes(self.read_bytes(addr, 4), "big")
+        addr &= MASK32
+        page = self._pages.get(addr >> PAGE_BITS)
+        if page is None:
+            page = self._pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+        o = addr & PAGE_MASK
+        return ((page[o] << 24) | (page[o + 1] << 16)
+                | (page[o + 2] << 8) | page[o + 3])
 
     def write_word(self, addr: int, value: int) -> None:
         if addr & 3:
             raise MemoryFault(f"misaligned word write at {addr:#x}")
-        self.write_bytes(addr, (value & 0xFFFFFFFF).to_bytes(4, "big"))
+        addr &= MASK32
+        page = self._pages.get(addr >> PAGE_BITS)
+        if page is None:
+            page = self._pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+        o = addr & PAGE_MASK
+        value &= MASK32
+        page[o] = value >> 24
+        page[o + 1] = (value >> 16) & 0xFF
+        page[o + 2] = (value >> 8) & 0xFF
+        page[o + 3] = value & 0xFF
 
     def read_half(self, addr: int) -> int:
         if addr & 1:
             raise MemoryFault(f"misaligned half read at {addr:#x}")
-        return int.from_bytes(self.read_bytes(addr, 2), "big")
+        addr &= MASK32
+        page = self._pages.get(addr >> PAGE_BITS)
+        if page is None:
+            page = self._pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+        o = addr & PAGE_MASK
+        return (page[o] << 8) | page[o + 1]
 
     def write_half(self, addr: int, value: int) -> None:
         if addr & 1:
             raise MemoryFault(f"misaligned half write at {addr:#x}")
-        self.write_bytes(addr, (value & 0xFFFF).to_bytes(2, "big"))
+        addr &= MASK32
+        page = self._pages.get(addr >> PAGE_BITS)
+        if page is None:
+            page = self._pages[addr >> PAGE_BITS] = bytearray(PAGE_SIZE)
+        o = addr & PAGE_MASK
+        value &= 0xFFFF
+        page[o] = value >> 8
+        page[o + 1] = value & 0xFF
 
     def load_program(self, program) -> None:
         """Copy an assembled :class:`~repro.isa.assembler.Program`'s
         text and data sections into memory."""
-        for i, word in enumerate(program.text):
-            self.write_word(program.text_base + 4 * i, word)
+        if program.text:
+            if program.text_base & 3:
+                raise MemoryFault(
+                    f"misaligned word write at {program.text_base:#x}")
+            text = [word & MASK32 for word in program.text]
+            self.write_bytes(program.text_base,
+                             struct.pack(f">{len(text)}I", *text))
         self.write_bytes(program.data_base, program.data)
 
     # ------------------------------------------------------------------

@@ -71,22 +71,6 @@ class TestRun:
         assert digests[0] and digests[0] == digests[1] == digests[2]
 
 
-class TestBench:
-    def test_quick_bench_writes_payload(self, tmp_path, capsys):
-        payload_path = tmp_path / "BENCH_perf.json"
-        assert main(["bench", "--quick", "--benchmarks", "bitcount",
-                     "--scale", "0.0625",
-                     "--json", str(payload_path)]) == 0
-        out = capsys.readouterr().out
-        # the exact line the CI perf-smoke job greps for
-        assert "bit-identical across 2 engines" in out
-        import json
-        payload = json.loads(payload_path.read_text())
-        assert payload["digests_match"] is True
-        assert len(payload["points"]) == 5
-        assert all(row["match"] for row in payload["points"])
-
-
 class TestDisasm:
     def test_listing(self, source_file, capsys):
         assert main(["disasm", source_file]) == 0

@@ -144,8 +144,17 @@ class TestDecodeAblation:
 
     def test_checksums_verified_during_experiments(self):
         """The harness raises if a monitored run corrupts results."""
-        # (implicitly exercised by every fixture above; this documents it)
-        from repro.evaluation.experiments import _run
+        # Every runner above simulates through run_point.
+        from dataclasses import replace
+
+        from repro.engine.sweep import SweepPoint, run_point
         from repro.workloads import build_workload
-        result = _run(build_workload("bitcount", SCALE), "dift")
-        assert result.halted
+        point = SweepPoint(workload="bitcount", extension="dift",
+                           scale=SCALE)
+        workload = build_workload("bitcount", SCALE)
+        assert run_point(point, workload=workload).cycles > 0
+        corrupted = replace(workload,
+                            expected_checksum=workload.expected_checksum ^ 1)
+        with pytest.raises(AssertionError,
+                           match="bitcount checksum mismatch under dift"):
+            run_point(point, workload=corrupted)

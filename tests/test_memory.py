@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.isa.assembler import Program
 from repro.memory.backing import MemoryFault, SparseMemory
 from repro.memory.bus import BusConfig, SharedBus, StoreBuffer
 
@@ -26,14 +27,23 @@ class TestSparseMemory:
 
     def test_misaligned_word(self):
         memory = SparseMemory()
-        with pytest.raises(MemoryFault):
+        with pytest.raises(MemoryFault,
+                           match="^misaligned word read at 0x101$"):
             memory.read_word(0x101)
-        with pytest.raises(MemoryFault):
+        with pytest.raises(MemoryFault,
+                           match="^misaligned word write at 0x102$"):
             memory.write_word(0x102, 0)
+        assert memory._pages == {}
 
     def test_misaligned_half(self):
-        with pytest.raises(MemoryFault):
-            SparseMemory().read_half(0x101)
+        memory = SparseMemory()
+        with pytest.raises(MemoryFault,
+                           match="^misaligned half read at 0x101$"):
+            memory.read_half(0x101)
+        with pytest.raises(MemoryFault,
+                           match="^misaligned half write at 0x103$"):
+            memory.write_half(0x103, 0)
+        assert memory._pages == {}
 
     def test_cross_page_bytes(self):
         memory = SparseMemory()
@@ -44,6 +54,43 @@ class TestSparseMemory:
         memory = SparseMemory()
         memory.write_byte(0x1_0000_0000 + 4, 9)
         assert memory.read_byte(4) == 9
+
+    def test_read_allocates_zero_page(self):
+        memory = SparseMemory()
+        assert memory.read_half(0x5002) == 0
+        assert memory._pages == {0x5: bytearray(4096)}
+
+    def test_bytes_wrap_at_32_bits(self):
+        memory = SparseMemory()
+        memory.write_bytes(0xFFFF_FFFE, b"\x01\x02\x03\x04")
+        assert memory.read_bytes(0xFFFF_FFFE, 4) == b"\x01\x02\x03\x04"
+        assert memory.read_byte(0xFFFF_FFFF) == 2
+        assert memory.read_half(0) == 0x0304
+        assert list(memory._pages) == [0xFFFFF, 0]
+        assert memory.read_bytes(0x1_0000_0000, 2) == b"\x03\x04"
+
+    def test_load_program_matches_per_byte_writes(self):
+        # Text and data both straddle a page; 4097 data bytes are not a
+        # whole number of words.
+        program = Program(text_base=0x1FF8, data_base=0x2FFE,
+                          text=[0x01000000, 0x9DE3BFA0, 0xFFFFFFFF,
+                                0x81C7E008, 0x81E80000],
+                          data=bytes(range(256)) * 16 + b"\x80")
+        loaded = SparseMemory()
+        loaded.load_program(program)
+        expected = SparseMemory()
+        for i, word in enumerate(program.text):
+            for j, byte in enumerate(word.to_bytes(4, "big")):
+                expected.write_byte(program.text_base + 4 * i + j, byte)
+        for i, byte in enumerate(program.data):
+            expected.write_byte(program.data_base + i, byte)
+        assert list(loaded._pages.items()) == list(expected._pages.items())
+
+    def test_load_program_misaligned_text(self):
+        program = Program(text_base=0x1002, data_base=0x3000, text=[1])
+        with pytest.raises(MemoryFault,
+                           match="^misaligned word write at 0x1002$"):
+            SparseMemory().load_program(program)
 
     @given(st.integers(0, 0xFFFFFFF0), st.integers(0, 0xFFFFFFFF))
     def test_property_word_roundtrip(self, addr, value):
