@@ -1101,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
     inject_cmd.add_argument(
         "--no-warm-start", action="store_true",
         help="re-simulate every fault-free prefix from reset instead "
-             "of forking from cached prefix snapshots",
+             "of forking from the golden run's landmark states",
     )
     inject_cmd.add_argument(
         "--batch-size", type=int, default=8, metavar="N",

@@ -6,7 +6,7 @@ The subsystem has four layers, each usable on its own:
   (temp file + fsync + rename), used by every on-disk artifact;
 * :mod:`repro.checkpoint.codec` — a deterministic tagged binary
   encoding of plain Python data (bit-exact floats included), and the
-  state digest that compares snapshots without storing them;
+  state digest and compact packed form that compare and keep snapshots;
 * :mod:`repro.checkpoint.container` — the versioned, per-section
   CRC-checked ``.ckpt`` file format;
 * :class:`SystemSnapshot` — capture/restore of a complete
@@ -27,7 +27,9 @@ from repro.checkpoint.codec import (
     CodecError,
     decode_obj,
     encode_obj,
+    pack_state,
     state_digest,
+    unpack_state,
 )
 from repro.checkpoint.container import (
     SCHEMA_VERSION,
@@ -80,8 +82,10 @@ __all__ = [
     "encode_obj",
     "fsync_file",
     "golden_identity",
+    "pack_state",
     "program_digest",
     "read_container",
     "state_digest",
+    "unpack_state",
     "write_container",
 ]

@@ -44,8 +44,10 @@ PROFILE_SECTION = "profile"
 #: version of the cached :class:`~repro.faultinject.models.GoldenProfile`
 #: layout.  Bump it whenever the profile gains a field older entries
 #: lack, so they are diagnosed stale and regenerated instead of loading
-#: without it.  Version 2 added per-landmark state digests.
-GOLDEN_FORMAT = 2
+#: without it.  Version 2 added per-landmark state digests, version 3
+#: the packed landmark states that warm-started runs fork from and the
+#: digest of the program image those states belong to.
+GOLDEN_FORMAT = 3
 
 
 def golden_identity(config: "CampaignConfig") -> dict:

@@ -45,12 +45,12 @@ from dataclasses import dataclass, replace
 
 from repro.checkpoint import (
     GoldenCache,
-    IdentityCache,
     JournalMismatchError,
     ResultsJournal,
-    SystemSnapshot,
-    golden_identity,
+    pack_state,
+    program_digest,
     state_digest,
+    unpack_state,
 )
 from repro.core.executor import SimulationError
 from repro.engine.pool import PoolPolicy, PoolStats
@@ -253,13 +253,13 @@ class CampaignConfig:
     recover: bool = False
     #: directory for the golden-run profile cache (None = no cache).
     cache_dir: str | None = None
-    #: fork each faulted run from a prefix snapshot taken just before
-    #: its injection window instead of re-simulating the fault-free
-    #: prefix from reset.  A pure accelerant: results are bit-identical
-    #: to cold runs (the equivalence suite enforces it), any warm-path
-    #: failure degrades to a cold run with a warning, and rollback
-    #: recovery (``recover=True``) always runs cold because its
-    #: checkpoint cadence is anchored at reset.
+    #: fork each faulted run from the golden run's state at the last
+    #: landmark before its trigger instead of re-simulating the
+    #: fault-free prefix from reset.  A pure accelerant: results are
+    #: bit-identical to cold runs (the equivalence suite enforces it),
+    #: any warm-path failure degrades to a cold run with a warning, and
+    #: rollback recovery (``recover=True``) always runs cold because
+    #: its checkpoint cadence is anchored at reset.
     warm_start: bool = True
     #: MDL monitor specs as ``(filename, source)`` pairs.  The sources
     #: ride along *inside* the config (not as paths) so a pickled
@@ -416,6 +416,15 @@ class Campaign:
         profile = None
         if cache is not None:
             profile, self.cache_diagnostic = cache.load(config)
+            if (profile is not None
+                    and profile.program != program_digest(self.program)):
+                # e.g. the workload generator changed under the same
+                # name: every recorded fact belongs to another image.
+                profile = None
+                self.cache_diagnostic = (
+                    f"golden cache entry {cache.path_for(config)} was "
+                    f"built from a different program image; recomputing"
+                )
         if profile is None:
             with self.profiler.phase("golden-run"):
                 self.golden, profile = self._golden_run()
@@ -428,14 +437,6 @@ class Campaign:
         #: warm-started runs this process stopped early because their
         #: state rejoined the golden run (not counted in pool workers).
         self.converged_exits = 0
-        #: in-memory prefix snapshots for warm-started faulted runs,
-        #: keyed by instret (one per landmark actually used).
-        self._prefix_snapshots: dict[int, SystemSnapshot] = {}
-        self._prefix_cache = (
-            IdentityCache(config.cache_dir, label="prefix cache",
-                          section="snapshot")
-            if config.cache_dir else None
-        )
         budget = config.hang_multiplier
         self._instr_budget = (
             int(self.profile.instructions * budget) + config.hang_slack
@@ -489,16 +490,17 @@ class Campaign:
         def landmark(_system, state):
             # Every ``stride`` commits (annulled slots included,
             # matching instret), remember how far the ALU and
-            # forwarded-packet counters have advanced and digest the
-            # whole state.  When the run outgrows the cap, halve the
-            # resolution — long runs get coarser but never unbounded
-            # landmark lists.
+            # forwarded-packet counters have advanced, digest the
+            # whole state and keep it packed for warm forks.  When the
+            # run outgrows the cap, halve the resolution (a state goes
+            # with its mark) — long runs get coarser but never
+            # unbounded landmark lists.
             nonlocal stride
             instret = state["cpu"]["instret"]
             forwarded = (system.interface.stats.forwarded
                          if system.interface else 0)
             marks.append(ProfileMark(instret, counts["alu"], forwarded,
-                                     state_digest(state)))
+                                     *pack_state(state)))
             if len(marks) == 2 * MAX_PROFILE_MARKS:
                 del marks[::2]
                 stride *= 2
@@ -541,6 +543,7 @@ class Campaign:
             register_tag_bits=extension.register_tag_bits,
             num_physical_registers=system.cpu.regs.num_physical,
             output=self._signature(result),
+            program=program_digest(program),
             marks=tuple(marks),
         )
         return result, profile
@@ -597,96 +600,24 @@ class Campaign:
 
     def _warm_mark(self, model: FaultModel,
                    spec: FaultSpec) -> ProfileMark | None:
-        """Latest golden-run landmark strictly before the fault's
-        injection window (``None`` = no usable landmark: fault too
-        early, model arms at reset, or the profile predates marks)."""
+        """Latest golden-run landmark whose ``model.warm_unit`` counter
+        (``instret``, ``alu_commits`` or ``forwarded``) is still below
+        :meth:`FaultModel.warm_bound`, i.e. the last one before the
+        fault's trigger (``None`` = no usable landmark: fault too
+        early, or the model arms at reset).  For an ``"alu"`` or
+        ``"forwarded"`` trigger the next landmark is the one
+        :meth:`_warm_settle` picks, so the hooked window spans at most
+        one landmark stride."""
         bound = model.warm_bound(spec)
+        if not bound:
+            return None
+        unit = model.warm_unit
         best = None
         for mark in self.profile.marks:
-            if mark[0] >= bound:
+            if mark.count(unit) >= bound:
                 break
             best = mark
         return best
-
-    def _prefix_identity(self, instret: int) -> dict:
-        identity = golden_identity(self.config)
-        identity["prefix_instret"] = instret
-        return identity
-
-    def _prefix_stem(self, instret: int) -> str:
-        workload = self.config.workload or "inline"
-        return f"{workload}-{self.config.extension}-warm{instret}"
-
-    def _replay_prefix(self, instret: int) -> SystemSnapshot | None:
-        """Re-simulate the fault-free prefix (no hooks, so the fused
-        engine runs it) and capture the state at exactly ``instret``
-        committed instructions.  Chains from the nearest earlier
-        snapshot already in memory, so generating the landmarks of a
-        whole campaign costs one pass over the longest prefix, not a
-        quadratic pile of restarts."""
-        system = self._build_system()
-        base = 0
-        earlier = [w for w in self._prefix_snapshots if w < instret]
-        if earlier:
-            base = max(earlier)
-            self._prefix_snapshots[base].restore_into(system)
-        captured: dict = {}
-
-        def grab(_system, state):
-            if "state" not in captured:
-                captured["state"] = state
-
-        deadline = None
-        if self.config.wallclock_limit is not None:
-            deadline = time.monotonic() + self.config.wallclock_limit
-        # The checkpoint interval fires the callback at the first loop
-        # top with ``instret`` committed; the +1 instruction limit
-        # then stops the run immediately after.
-        system.run_bounded(
-            max_instructions=instret + 1,
-            checkpoint_every=instret - base,
-            on_checkpoint=grab,
-            deadline=deadline,
-            # An alias of "fast"; the benchmark's tracer names this
-            # leg by it (perfbench/tracing.py:run_leg).
-            engine="superblock",
-        )
-        state = captured.get("state")
-        if state is None or state["cpu"]["instret"] != instret:
-            return None
-        return SystemSnapshot.from_state(system, state)
-
-    def _prefix_snapshot(self, instret: int) -> SystemSnapshot | None:
-        """The prefix snapshot at ``instret``, from (in order) the
-        in-memory store, the on-disk prefix cache, or a fresh fused-
-        engine replay (which then populates both)."""
-        snapshot = self._prefix_snapshots.get(instret)
-        if snapshot is not None:
-            return snapshot
-        cache = self._prefix_cache
-        if cache is not None:
-            payload, _diagnostic = cache.load(
-                self._prefix_identity(instret),
-                self._prefix_stem(instret),
-            )
-            if payload is not None:
-                snapshot = SystemSnapshot(payload["meta"],
-                                          payload["state"])
-                if snapshot.instructions != instret:
-                    snapshot = None
-        if snapshot is None:
-            snapshot = self._replay_prefix(instret)
-            if snapshot is not None and cache is not None:
-                cache.store(
-                    self._prefix_identity(instret),
-                    self._prefix_stem(instret),
-                    {"meta": snapshot.meta, "state": snapshot.state},
-                )
-                if cache.disabled_reason is not None:
-                    self._warn(cache.disabled_reason)
-        if snapshot is not None:
-            self._prefix_snapshots[instret] = snapshot
-        return snapshot
 
     def _warm_settle(self, model: FaultModel, spec: FaultSpec) -> int:
         """Absolute instret by which the armed fault has provably
@@ -708,24 +639,21 @@ class Campaign:
             return 0
         index = int(spec.get("index", 0))
         for mark in self.profile.marks:
-            count = (mark.alu_commits if unit == "alu"
-                     else mark.forwarded)
-            if count >= index:
+            if mark.count(unit) >= index:
                 return mark.instret
         return 0
 
     def _warm_plan(self, system: FlexCoreSystem, spec: FaultSpec,
                    model: FaultModel) -> tuple[int, int] | None:
-        """Restore the best prefix snapshot into ``system``, arm a
-        rebased ``spec``, and return ``(fork_instret, settle_instret)``
-        (``None`` = no usable landmark; caller arms and runs cold)."""
+        """Restore the golden state kept at the fork landmark into
+        ``system``, arm a rebased ``spec``, and return
+        ``(fork_instret, settle_instret)`` (``None`` = no usable
+        landmark, or its state could not be packed; caller arms and
+        runs cold)."""
         mark = self._warm_mark(model, spec)
-        if mark is None:
+        if mark is None or mark.state is None:
             return None
-        snapshot = self._prefix_snapshot(mark.instret)
-        if snapshot is None:
-            return None
-        snapshot.restore_into(system)
+        system.restore_state(unpack_state(mark.state))
         model.arm_warm(system, spec, mark)
         return mark.instret, self._warm_settle(model, spec)
 
@@ -799,7 +727,8 @@ class Campaign:
         marks = self.profile.marks
         digests = {mark.instret: mark.digest for mark in marks}
         ahead = [mark.instret for mark in marks if mark.instret > settle]
-        if digests.get(settle) == state_digest(system.snapshot_state()):
+        if (settle in digests and digests[settle]
+                == state_digest(system.snapshot_state())):
             return self._rejoined(system)
 
         def watch(_system, state):
@@ -1139,8 +1068,8 @@ class Campaign:
         Each worker rebuilds the campaign once (fork keeps this cheap)
         and runs *lockstep batches* of up to ``config.batch_size``
         indices per dispatch: the members of a batch share the
-        worker's golden profile, instruction decode memo and chained
-        warm-start prefix snapshots, and their results stream back one
+        worker's golden profile (landmark states included) and
+        instruction decode memo, and their results stream back one
         ``part`` at a time.  Per-index seeding makes each result
         independent of the scheduling, so batching never changes the
         science — only how much per-dispatch setup is amortised.
@@ -1222,8 +1151,8 @@ def _worker_run(index: int) -> FaultResult:
 
 def _worker_run_batch(indices):
     """One lockstep batch: the members share this worker's campaign —
-    hence its golden profile, instruction decode memo and chained
-    warm-start prefix snapshots — and stream their results back one
+    hence its golden profile, landmark states included, and its
+    instruction decode memo — and stream their results back one
     ``part`` at a time, so the parent journals each fault the moment
     it completes."""
     for index in indices:

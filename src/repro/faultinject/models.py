@@ -36,22 +36,26 @@ class ProfileMark(tuple):
     """One landmark of the golden run: after ``instret`` committed
     instructions (annulled slots included), exactly ``alu_commits`` of
     them were non-annulled ALU-class commits, ``forwarded`` trace
-    packets had been delivered to the extension, and the whole machine
-    state had the :func:`~repro.checkpoint.state_digest` ``digest``.
+    packets had been delivered to the extension, the whole machine
+    state had the :func:`~repro.checkpoint.state_digest` ``digest``,
+    and ``state`` is that state packed by
+    :func:`~repro.checkpoint.pack_state` (``None`` when it could not
+    be packed).
 
-    The counters place warm-start fork and settle points; the digest
-    lets a faulted run stop where it rejoins the golden run.  A plain
-    tuple subclass (not a NamedTuple) so cached profiles round-trip
-    through the checkpoint codec as ordinary tuples.
+    The counters place warm-start fork and settle points, the packed
+    state is what a warm run forks from, and the digest lets a faulted
+    run stop where it rejoins the golden run.  A plain tuple subclass
+    (not a NamedTuple) so cached profiles round-trip through the
+    checkpoint codec as ordinary tuples.
     """
 
     __slots__ = ()
 
     def __new__(cls, instret: int, alu_commits: int, forwarded: int,
-                digest: str):
+                digest: str, state: bytes | None):
         return super().__new__(
             cls, (int(instret), int(alu_commits), int(forwarded),
-                  str(digest))
+                  str(digest), state)
         )
 
     @property
@@ -69,6 +73,20 @@ class ProfileMark(tuple):
     @property
     def digest(self) -> str:
         return self[3]
+
+    @property
+    def state(self) -> bytes | None:
+        return self[4]
+
+    def count(self, unit: str) -> int:
+        """The counter a model with ``warm_unit`` ``unit`` walks:
+        ``instret`` for ``"commits"``, else ``alu_commits`` or
+        ``forwarded``."""
+        return self[_MARK_COUNTERS[unit]]
+
+
+#: ProfileMark field holding each warm unit's counter.
+_MARK_COUNTERS = {"commits": 0, "alu": 1, "forwarded": 2}
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,9 @@ class GoldenProfile:
     num_physical_registers: int
     #: output signature of the golden run (SDC reference).
     output: str
+    #: :func:`~repro.checkpoint.program_digest` of the image the golden
+    #: run executed: the landmark states are memory deltas against it.
+    program: str
     #: golden-run landmarks, ascending by instret (see
     #: :class:`ProfileMark`); empty when the run is shorter than one
     #: landmark stride, and then every fault runs cold.
@@ -172,13 +193,13 @@ class FaultModel(abc.ABC):
     # -- warm start ---------------------------------------------------------
 
     def warm_bound(self, spec: FaultSpec) -> int:
-        """Exclusive upper bound on the instret a warm-started run may
-        fork from.  The fault provably fires at or after this many
-        committed instructions (every counter the index may walk
-        advances at most once per instruction), so restoring a prefix
-        snapshot strictly below the bound and arming via
-        :meth:`arm_warm` reproduces the cold run bit-exactly.
-        ``0`` disables warm-starting for this spec."""
+        """Exclusive upper bound on the ``warm_unit`` counter of the
+        golden landmark a warm-started run may fork from.  The fault
+        fires at the ``index``-th event that counter counts, so until
+        the counter reaches the index the faulted run is the golden
+        run: restoring a landmark whose counter is still below the
+        bound and arming via :meth:`arm_warm` reproduces the cold run
+        bit-exactly.  ``0`` disables warm-starting for this spec."""
         if self.warm_unit is None:
             return 0
         return int(spec.get("index", 0))
@@ -198,26 +219,22 @@ class FaultModel(abc.ABC):
 
     def arm_warm(self, system: FlexCoreSystem, spec: FaultSpec,
                  mark: ProfileMark) -> None:
-        """Arm ``spec`` into a system just restored from the prefix
-        snapshot described by ``mark``, rebasing the dynamic index
-        past the counter value the skipped prefix already consumed."""
-        if self.warm_unit == "commits":
-            skipped = mark.instret
-        elif self.warm_unit == "alu":
-            skipped = mark.alu_commits
-        elif self.warm_unit == "forwarded":
-            # Packets are serviced synchronously at commit, so the
-            # restored interface counter *is* the prefix's delivery
-            # count.
-            skipped = system.interface.stats.forwarded
-        else:
+        """Arm ``spec`` into a system just restored from the golden
+        state kept at ``mark``, rebasing the dynamic index past the
+        counter value the skipped prefix already consumed."""
+        if self.warm_unit is None:
             raise ValueError(
                 f"model {self.name!r} cannot warm-start"
             )
+        # The system holds the state captured at ``mark``, so the
+        # mark's counters are its own; packets are serviced
+        # synchronously at commit, so ``forwarded`` is the prefix's
+        # delivery count.
+        skipped = mark.count(self.warm_unit)
         index = int(spec.get("index"))
         if skipped >= index:
             raise ValueError(
-                f"prefix snapshot at instret {mark.instret} overruns "
+                f"landmark state at instret {mark.instret} overruns "
                 f"the {self.name} trigger (index {index}, "
                 f"{skipped} {self.warm_unit} already consumed)"
             )

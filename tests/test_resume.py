@@ -21,6 +21,7 @@ from repro.checkpoint import (
     encode_obj,
     golden_identity,
     state_digest,
+    unpack_state,
     write_container,
 )
 from repro.faultinject import (
@@ -31,8 +32,10 @@ from repro.faultinject import (
     FaultSpec,
     Outcome,
 )
+from repro.faultinject import campaign as campaign_module
 from repro.faultinject.campaign import MARK_STRIDE
-from repro.faultinject.models import ProfileMark
+from repro.faultinject.models import ProfileMark, create_model
+from repro.flexcore.system import FlexCoreSystem
 
 SOURCE = """
         .text
@@ -301,6 +304,46 @@ class TestGoldenCache:
         assert rebuilt.profile == fresh
         assert Campaign(config).cache_diagnostic is None  # rewritten
 
+    def test_entry_without_states_diagnosed_and_recomputed(self, tmp_path):
+        # A format-2 entry carries digests but no landmark states, so
+        # its runs would have nothing to fork from.  Forge one under
+        # the current entry's file name: it is stale, not loaded.
+        cache = GoldenCache(tmp_path)
+        config = warm_config("bitcount", "dift", cache_dir=str(tmp_path))
+        fresh = Campaign(config).profile
+        assert fresh.marks
+        identity = golden_identity(config)
+        identity["format"] = 2
+        fields = vars(fresh).copy()
+        fields["marks"] = [mark[:4] for mark in fresh.marks]
+        write_container(cache.path_for(config), {
+            "identity": encode_obj(identity),
+            "profile": encode_obj(fields),
+        })
+        rebuilt = Campaign(config)
+        assert "stale fields: format" in rebuilt.cache_diagnostic
+        assert rebuilt.golden is not None  # recomputed
+        assert rebuilt.profile == fresh
+        reloaded = Campaign(config)  # rewritten, states included
+        assert reloaded.cache_diagnostic is None
+        assert all(mark.state for mark in reloaded.profile.marks)
+
+    def test_entry_for_another_program_diagnosed_and_recomputed(
+            self, tmp_path):
+        # Landmark states are memory deltas against the program image,
+        # so a profile recorded from another image under the same
+        # identity (say, after a workload generator changed) must not
+        # load.
+        cache = GoldenCache(tmp_path)
+        config = sec_config(cache_dir=str(tmp_path))
+        fresh = Campaign(config).profile
+        cache.store(config, replace(fresh, program="0" * 64))
+        rebuilt = Campaign(config)
+        assert "different program image" in rebuilt.cache_diagnostic
+        assert rebuilt.golden is not None  # recomputed
+        assert rebuilt.profile == fresh
+        assert Campaign(config).cache_diagnostic is None  # rewritten
+
     def test_corrupt_entry_diagnosed_and_recomputed(self, tmp_path):
         cache = GoldenCache(tmp_path)
         config = sec_config(cache_dir=str(tmp_path))
@@ -378,12 +421,20 @@ class TestWarmStartEquivalence:
             warm_config(workload, extension, warm_start=False)
         ).run()
         campaign = Campaign(warm_config(workload, extension))
+        forks = []
+        plan = campaign._warm_plan
+
+        def spy(*args):
+            forks.append(plan(*args))
+            return forks[-1]
+
+        campaign._warm_plan = spy
         warm = campaign.run()
         assert warm.to_json() == cold.to_json()
         # prove the warm path and the convergence exit actually
         # engaged — otherwise this test would pass vacuously with both
         # sides running cold, or every warm run to the end
-        assert campaign._prefix_snapshots
+        assert any(forks)
         assert campaign.converged_exits > 0
 
     def test_warm_crash_attributed_to_the_suffix_system(self):
@@ -409,22 +460,98 @@ class TestWarmStartEquivalence:
         assert sec_config(warm_start=False).journal_identity() == base
         assert sec_config(batch_size=1).journal_identity() == base
 
-    def test_prefix_snapshots_cached_on_disk(self, tmp_path):
+    def test_prefix_snapshots_cached_on_disk(self, tmp_path,
+                                             monkeypatch):
         config = warm_config("bitcount", "dift",
                              cache_dir=str(tmp_path))
         first = Campaign(config)
         report = first.run()
-        stems = [p.name for p in tmp_path.iterdir()
-                 if "warm" in p.name]
-        assert stems  # prefix snapshots persisted, not just in-memory
-        # a second campaign forks from the on-disk snapshots (fresh
-        # in-memory store) and still reproduces the report exactly
+        # the golden entry is the only cache file, and it carries the
+        # landmark states warm runs fork from
+        entry = GoldenCache(tmp_path).path_for(config)
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+        cached, _ = GoldenCache(tmp_path).load(config)
+        assert cached.marks == first.profile.marks
+        assert all(mark.state for mark in cached.marks)
+        # a second campaign loads that profile, runs no fused prefix
+        # replay (every fused leg is a sprint under the full budget)
+        # and still reproduces the report exactly
+        calls = []
+        run_bounded = FlexCoreSystem.run_bounded
+
+        def spy(system, **kwargs):
+            calls.append(kwargs)
+            return run_bounded(system, **kwargs)
+
+        monkeypatch.setattr(FlexCoreSystem, "run_bounded", spy)
         second = Campaign(config)
-        assert second._prefix_snapshots == {}
         assert second.golden is None  # the profile came from the cache
         assert second.run().to_json() == report.to_json()
+        fused = [kw for kw in calls if kw.get("engine") == "superblock"]
+        assert fused
+        assert all(kw["max_instructions"] == second._instr_budget
+                   for kw in fused)
         # the cached profile's digests still let runs stop early
         assert second.converged_exits > 0
+
+
+class TestLandmarkForks:
+    """Warm runs fork from the states the golden run keeps at its
+    landmarks, at the landmark the fault model's trigger counter
+    names."""
+
+    def test_every_landmark_state_restores_to_its_digest(self):
+        campaign = Campaign(warm_config("bitcount", "dift"))
+        marks = campaign.profile.marks
+        assert len(marks) >= 4
+        for mark in marks:
+            state = unpack_state(mark.state)
+            assert state["cpu"]["instret"] == mark.instret
+            fresh = campaign._build_system()
+            fresh.restore_state(state)
+            # fifo-drop rebases its index on the restored counter
+            assert fresh.interface.stats.forwarded == mark.forwarded
+            assert state_digest(fresh.snapshot_state()) == mark.digest
+
+    @pytest.mark.parametrize("model, unit", [
+        ("alu-result", "alu"),
+        ("fifo-drop", "forwarded"),
+    ])
+    def test_fork_and_settle_straddle_the_trigger(self, model, unit):
+        campaign = Campaign(warm_config("bitcount", "dift"))
+        marks = campaign.profile.marks
+        stride = marks[0].instret
+        by_instret = {mark.instret: mark for mark in marks}
+        fault = create_model(model)
+        checked = 0
+        for below, above in zip(marks, marks[1:]):
+            assert above.instret - below.instret == stride
+            for index in (below.count(unit) + 1, above.count(unit)):
+                if index <= below.count(unit):
+                    continue  # the counter stood still this stride
+                spec = FaultSpec.make(model, index=index, bit=3)
+                fork = campaign._warm_mark(fault, spec)
+                settle = by_instret[campaign._warm_settle(fault, spec)]
+                assert fork.count(unit) < index <= settle.count(unit)
+                assert settle.instret - fork.instret == stride
+                checked += 1
+        assert checked >= len(marks)
+
+    def test_halving_keeps_one_state_per_mark(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "MAX_PROFILE_MARKS", 3)
+        campaign = Campaign(warm_config("bitcount", "dift"))
+        marks = campaign.profile.marks
+        assert marks[0].instret > MARK_STRIDE  # the stride doubled
+        assert 3 <= len(marks) < 2 * 3
+        for mark in marks:
+            state = unpack_state(mark.state)
+            assert state["cpu"]["instret"] == mark.instret
+            assert state_digest(state) == mark.digest
+        # and faults still fork from the survivors, matching cold
+        cold = Campaign(warm_config("bitcount", "dift",
+                                    warm_start=False))
+        for index in range(4):
+            assert campaign.run_one(index) == cold.run_one(index)
 
 
 #: a loop that rewrites one of its own text words with that word's
@@ -492,7 +619,7 @@ class TestConvergenceExit:
         [landmark] = exits
         profile = warm.profile
         warm.profile = replace(profile, marks=tuple(
-            ProfileMark(*mark[:3], state_digest(None))
+            ProfileMark(*mark[:3], state_digest(None), mark.state)
             if corrupt == "every" or mark.instret == landmark else mark
             for mark in profile.marks
         ))
@@ -559,7 +686,8 @@ class TestWarmChaosKill:
     """kill -9 a journaled warm-start campaign mid-run, resume it with
     the same cache dir, and demand the final report be bit-identical
     to a *cold* (``--no-warm-start``) reference — the resumed leg
-    reuses the prefix snapshots the killed process already cached."""
+    forks from the landmark states in the golden-cache entry the
+    killed process already wrote."""
 
     def test_sigkill_then_resume_reuses_prefix_cache(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
@@ -588,15 +716,13 @@ class TestWarmChaosKill:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        def cached_snapshots() -> list[str]:
-            if not cache_dir.is_dir():
-                return []
-            return [p.name for p in cache_dir.iterdir()
-                    if "warm" in p.name]
+        entry = GoldenCache(cache_dir).path_for(CampaignConfig(
+            extension="dift", workload="bitcount", scale=0.0625,
+        ))
 
         # kill only once the campaign is both journaled (≥3 durable
-        # results) and warm (≥1 prefix snapshot persisted): the state
-        # the resumed leg must pick up
+        # results) and warm (its golden entry, landmark states
+        # included, persisted): the state the resumed leg must pick up
         deadline = time.monotonic() + 120
         killed = False
         while time.monotonic() < deadline:
@@ -604,7 +730,7 @@ class TestWarmChaosKill:
                 break  # finished before we could kill it — still fine
             if (journal.exists()
                     and journal.read_text().count('"result"') >= 3
-                    and cached_snapshots()):
+                    and entry.exists()):
                 victim.send_signal(signal.SIGKILL)
                 killed = True
                 break
@@ -612,17 +738,19 @@ class TestWarmChaosKill:
         victim.wait(timeout=60)
         assert killed or victim.returncode == 0
 
-        # the killed process already persisted prefix snapshots the
-        # resumed leg will fork from
-        assert cached_snapshots()
+        # the killed process already persisted the golden entry whose
+        # landmark states the resumed leg will fork from
+        assert entry.exists()
 
-        subprocess.run(
+        resumed = subprocess.run(
             base + ["--journal", str(journal), "--resume",
                     "--cache-dir", str(cache_dir),
                     "--json", str(resumed_json)],
             env=env, check=True, capture_output=True, timeout=300,
         )
         assert resumed_json.read_bytes() == ref_json.read_bytes()
+        # a golden-cache miss would print its diagnostic here
+        assert b"golden cache" not in resumed.stderr
 
 
 @pytest.mark.slow
