@@ -1100,8 +1100,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="worker processes")
     inject_cmd.add_argument(
         "--no-warm-start", action="store_true",
-        help="re-simulate every fault-free prefix from reset instead "
-             "of forking from the golden run's landmark states",
+        help="run every fault from reset to the end instead of "
+             "forking from the golden run's landmark states or "
+             "deciding CFGR upsets of never-committed classes from "
+             "the golden profile",
     )
     inject_cmd.add_argument(
         "--batch-size", type=int, default=8, metavar="N",

@@ -46,8 +46,9 @@ PROFILE_SECTION = "profile"
 #: lack, so they are diagnosed stale and regenerated instead of loading
 #: without it.  Version 2 added per-landmark state digests, version 3
 #: the packed landmark states that warm-started runs fork from and the
-#: digest of the program image those states belong to.
-GOLDEN_FORMAT = 3
+#: digest of the program image those states belong to, version 4 the
+#: instret of each instruction class's first commit.
+GOLDEN_FORMAT = 4
 
 
 def golden_identity(config: "CampaignConfig") -> dict:
@@ -190,7 +191,9 @@ class GoldenCache:
 
         Exactly one of the pair is ``None``: a hit returns the
         profile; a miss returns a diagnostic explaining *why* the
-        entry was unusable (absent, corrupt, or stale identity).
+        entry was unusable (absent, corrupt, stale identity, or a
+        matching identity over a profile layout this code cannot
+        build).
         """
         from repro.faultinject.models import GoldenProfile, ProfileMark
 
@@ -198,11 +201,18 @@ class GoldenCache:
                                               self._stem(config))
         if fields is None:
             return None, diagnostic
-        fields["store_addresses"] = tuple(fields["store_addresses"])
-        fields["marks"] = tuple(
-            ProfileMark(*mark) for mark in fields["marks"]
-        )
-        return GoldenProfile(**fields), None
+        try:
+            fields["store_addresses"] = tuple(fields["store_addresses"])
+            fields["first_commits"] = tuple(fields["first_commits"])
+            fields["marks"] = tuple(
+                ProfileMark(*mark) for mark in fields["marks"]
+            )
+            return GoldenProfile(**fields), None
+        except (KeyError, TypeError, ValueError) as err:
+            return None, (
+                f"golden cache entry {self.path_for(config)} is unusable "
+                f"({type(err).__name__}: {err}); recomputing"
+            )
 
     def store(self, config: "CampaignConfig",
               profile: "GoldenProfile") -> Path | None:

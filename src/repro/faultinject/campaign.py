@@ -73,7 +73,7 @@ from repro.flexcore.system import (
     Termination,
 )
 from repro.isa.assembler import Program, assemble
-from repro.isa.opcodes import ALU_CLASSES
+from repro.isa.opcodes import ALU_CLASSES, NUM_INSTR_CLASSES
 from repro.telemetry.profiler import PhaseProfiler
 from repro.util.rng import derive_rng
 from repro.workloads import build_workload
@@ -125,11 +125,13 @@ class _Rejoined(Exception):
 
 
 class RejoinedRun(RunResult):
-    """A faulted run stopped where its whole state equalled the golden
-    run's at a landmark.  From there it provably repeats the golden
-    run, so its outcome fields (termination, trap, instructions,
-    cycles, output) are the golden run's final ones.  Stats and memory
-    are the stopped system's, as they stood at that landmark."""
+    """A faulted run whose outcome provably is the golden run's, so its
+    outcome fields (termination, trap, instructions, cycles, output)
+    are the golden run's final ones.  Either it stopped where its
+    whole state equalled the golden run's at a landmark, and its stats
+    and memory are the stopped system's as they stood there; or its
+    fault was :meth:`~repro.faultinject.models.FaultModel.inert`, it
+    was never simulated, and its stats and memory are ``None``."""
 
 
 class Outcome(str, enum.Enum):
@@ -255,11 +257,14 @@ class CampaignConfig:
     cache_dir: str | None = None
     #: fork each faulted run from the golden run's state at the last
     #: landmark before its trigger instead of re-simulating the
-    #: fault-free prefix from reset.  A pure accelerant: results are
-    #: bit-identical to cold runs (the equivalence suite enforces it),
-    #: any warm-path failure degrades to a cold run with a warning, and
-    #: rollback recovery (``recover=True``) always runs cold because
-    #: its checkpoint cadence is anchored at reset.
+    #: fault-free prefix from reset.  For a CFGR upset (``lut-config``)
+    #: the trigger is the golden run's first commit of the upset class;
+    #: an upset of a class the golden run never commits is decided from
+    #: the golden profile without simulating.  A pure accelerant:
+    #: results are bit-identical to cold runs (the equivalence suite
+    #: enforces it), any warm-path failure degrades to a cold run with
+    #: a warning, and rollback recovery (``recover=True``) always runs
+    #: cold because its checkpoint cadence is anchored at reset.
     warm_start: bool = True
     #: MDL monitor specs as ``(filename, source)`` pairs.  The sources
     #: ride along *inside* the config (not as paths) so a pickled
@@ -474,10 +479,17 @@ class Campaign:
         addresses: dict[int, None] = {}  # insertion-ordered set
         marks: list[ProfileMark] = []
         stride = MARK_STRIDE
+        # instret of each class's first commit.  Annulled slots read no
+        # policy at commit, so only the commits that do count.
+        first: list[int | None] = [None] * NUM_INSTR_CLASSES
+        cpu = system.cpu
 
         def profile_hook(record):
             if not record.annulled:
-                if record.instr_class in ALU_CLASSES:
+                klass = record.instr_class
+                if first[klass] is None:
+                    first[klass] = cpu.instret
+                if klass in ALU_CLASSES:
                     counts["alu"] += 1
                 if record.is_load:
                     counts["load"] += 1
@@ -545,6 +557,7 @@ class Campaign:
             output=self._signature(result),
             program=program_digest(program),
             marks=tuple(marks),
+            first_commits=tuple(first),
         )
         return result, profile
 
@@ -604,11 +617,11 @@ class Campaign:
         (``instret``, ``alu_commits`` or ``forwarded``) is still below
         :meth:`FaultModel.warm_bound`, i.e. the last one before the
         fault's trigger (``None`` = no usable landmark: fault too
-        early, or the model arms at reset).  For an ``"alu"`` or
+        early, or the model can matter from reset).  For an ``"alu"`` or
         ``"forwarded"`` trigger the next landmark is the one
         :meth:`_warm_settle` picks, so the hooked window spans at most
         one landmark stride."""
-        bound = model.warm_bound(spec)
+        bound = model.warm_bound(spec, self.profile)
         if not bound:
             return None
         unit = model.warm_unit
@@ -646,10 +659,13 @@ class Campaign:
     def _warm_plan(self, system: FlexCoreSystem, spec: FaultSpec,
                    model: FaultModel) -> tuple[int, int] | None:
         """Restore the golden state kept at the fork landmark into
-        ``system``, arm a rebased ``spec``, and return
+        ``system``, arm ``spec`` there (:meth:`FaultModel.arm_warm`:
+        an indexed fault rebased past the skipped prefix, a CFGR upset
+        applied to the restored CFGR), and return
         ``(fork_instret, settle_instret)`` (``None`` = no usable
         landmark, or its state could not be packed; caller arms and
-        runs cold)."""
+        runs cold).  Inert faults never get here: :meth:`run_spec`
+        decides them from the profile."""
         mark = self._warm_mark(model, spec)
         if mark is None or mark.state is None:
             return None
@@ -753,18 +769,25 @@ class Campaign:
         except _Rejoined:
             return self._rejoined(system)
 
-    def _rejoined(self, system: FlexCoreSystem) -> RejoinedRun:
-        self.converged_exits += 1
+    def _rejoined(self, system: FlexCoreSystem | None) -> RejoinedRun:
+        """The golden outcome for a run that rejoined the golden run in
+        ``system``, or (``None``) never left it and was not simulated."""
+        core_stats = interface_stats = memory = None
+        if system is not None:
+            self.converged_exits += 1
+            core_stats = system.core_timing.stats
+            if system.interface:
+                interface_stats = system.interface.stats
+            memory = system.memory
         profile = self.profile
         return RejoinedRun(
             cycles=profile.cycles,
             instructions=profile.instructions,
             halted=True,
             trap=None,
-            core_stats=system.core_timing.stats,
-            interface_stats=(system.interface.stats
-                             if system.interface else None),
-            memory=system.memory,
+            core_stats=core_stats,
+            interface_stats=interface_stats,
+            memory=memory,
             program=self.program,
             engine="fast",
         )
@@ -773,12 +796,17 @@ class Campaign:
         self, spec: FaultSpec, model: FaultModel | None = None
     ) -> RunResult:
         """Execute one faulted run under the watchdog (never raises
-        for in-simulation failures)."""
+        for in-simulation failures).  On the warm path a fault the
+        golden profile proves inert is not simulated at all: its result
+        is the golden run's, a :class:`RejoinedRun` with no system."""
         if model is None:
             model = create_model(spec.model)
+        warm = self._warm_eligible()
+        if warm and model.inert(spec, self.profile):
+            return self._rejoined(None)
         system = self._build_system()
         plan = None
-        if self._warm_eligible():
+        if warm:
             try:
                 plan = self._warm_plan(system, spec, model)
             except Exception as err:  # noqa: BLE001 — accelerant only

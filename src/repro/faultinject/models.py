@@ -146,6 +146,10 @@ class GoldenProfile:
     #: :class:`ProfileMark`); empty when the run is shorter than one
     #: landmark stride, and then every fault runs cold.
     marks: tuple[ProfileMark, ...]
+    #: per instruction class (indexed by ``InstrClass``), the instret
+    #: of the golden run's first non-annulled commit of that class, or
+    #: ``None`` when it never commits one.
+    first_commits: tuple[int | None, ...]
 
     def data_words(self) -> int:
         return max(self.data_size // 4, 0)
@@ -178,12 +182,13 @@ class FaultModel(abc.ABC):
     #: registry key and report label.
     name: str = "base"
     description: str = ""
-    #: which golden-run counter the model's ``index`` parameter walks:
+    #: which golden-run counter the model's :meth:`warm_bound` walks
+    #: (for indexed models, the one its ``index`` parameter counts):
     #: ``"commits"`` (every committed instruction, annulled slots
     #: included), ``"alu"`` (non-annulled ALU-class commits) or
     #: ``"forwarded"`` (packets delivered to the extension).  ``None``
-    #: means the model arms at time zero, so there is no fault-free
-    #: prefix a warm-started run could skip.
+    #: means the fault can matter from time zero, so there is no
+    #: fault-free prefix a warm-started run could skip.
     warm_unit: str | None = None
 
     def applicable(self, profile: GoldenProfile) -> bool:
@@ -192,7 +197,14 @@ class FaultModel(abc.ABC):
 
     # -- warm start ---------------------------------------------------------
 
-    def warm_bound(self, spec: FaultSpec) -> int:
+    def inert(self, spec: FaultSpec, profile: GoldenProfile) -> bool:
+        """Whether the faulted run provably *is* the golden run, so its
+        outcome can be read off ``profile`` without simulating it.
+        Only a model whose fault changes nothing the golden run ever
+        reads can say so; the default is ``False``."""
+        return False
+
+    def warm_bound(self, spec: FaultSpec, profile: GoldenProfile) -> int:
         """Exclusive upper bound on the ``warm_unit`` counter of the
         golden landmark a warm-started run may fork from.  The fault
         fires at the ``index``-th event that counter counts, so until
@@ -472,10 +484,63 @@ class FifoDrop(FaultModel):
 class LutConfigUpset(FaultModel):
     """Configuration upset in the fabric: one bit of the 64-bit CFGR
     forwarding register flips, silently changing which instruction
-    types the monitor sees (and whether commits wait for acks)."""
+    types the monitor sees (and whether commits wait for acks).
+
+    The upset strikes at reset but changes only the 2-bit policy of
+    class ``bit // 2``, and that policy is first *used* at the first
+    non-annulled commit of that class.  Every other reader of the CFGR
+    either reads another class's policy or uses none before then:
+
+    * ``CoreFabricInterface.on_commit`` returns for an annulled slot
+      before it reads any policy, and otherwise reads the committing
+      class's own; FLEX ``READ_STATUS``'s ack rule sits behind that
+      read, so it too runs only at a FLEX commit;
+    * ``HandlerTable.build`` reads the policy of the instruction at the
+      PC it builds, also for an annulled slot, but the annulled step
+      only bumps ``committed`` and never calls the handler; a built
+      handler acts on the policy only when it executes that PC, which
+      is a non-annulled commit of its class.  Tables are built afresh
+      by every ``run_bounded`` call, so a warm fork that upsets the
+      restored CFGR before it runs never meets a handler built under
+      the old one;
+    * ``forward_tail`` and the extension's fabric ops are built from a
+      policy but change no machine state until a packet arrives;
+    * ``snapshot_state`` stores the CFGR, so every state digest of the
+      faulted run differs from the golden one: such a run can never
+      take the convergence exit, but nothing the run *does* depends on
+      a digest.
+
+    So until the instret of that first commit, recorded per class in
+    :attr:`GoldenProfile.first_commits`, the faulted run is the golden
+    run in everything but the CFGR word.  A class the golden run never
+    commits (reserved classes 26-31 included) leaves the whole run
+    golden, and the fault is :meth:`inert`; any other forks from the
+    last landmark before that commit, on the ``"commits"`` counter.
+    """
 
     name = "lut-config"
     description = "CFGR/LUT configuration single-bit upset"
+    warm_unit = "commits"
+
+    @staticmethod
+    def _first_commit(spec: FaultSpec, profile: GoldenProfile) -> int | None:
+        return profile.first_commits[spec.get("bit") // 2]
+
+    def inert(self, spec: FaultSpec, profile: GoldenProfile) -> bool:
+        return self._first_commit(spec, profile) is None
+
+    def warm_bound(self, spec: FaultSpec, profile: GoldenProfile) -> int:
+        return self._first_commit(spec, profile) or 0
+
+    def warm_settle(self, spec: FaultSpec) -> int:
+        # The upset lasts the whole run: the suffix runs in one leg.
+        return 0
+
+    def arm_warm(self, system: FlexCoreSystem, spec: FaultSpec,
+                 mark: ProfileMark) -> None:
+        # The upset has no trigger to rebase: it flips the restored
+        # (golden) CFGR, which is the reset CFGR, exactly as arm does.
+        self.arm(system, spec)
 
     def plan(self, rng: random.Random, profile: GoldenProfile) -> FaultSpec:
         return FaultSpec.make(self.name, bit=rng.randrange(64))

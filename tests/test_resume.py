@@ -36,6 +36,7 @@ from repro.faultinject import campaign as campaign_module
 from repro.faultinject.campaign import MARK_STRIDE
 from repro.faultinject.models import ProfileMark, create_model
 from repro.flexcore.system import FlexCoreSystem
+from repro.isa.opcodes import InstrClass
 
 SOURCE = """
         .text
@@ -344,6 +345,31 @@ class TestGoldenCache:
         assert rebuilt.profile == fresh
         assert Campaign(config).cache_diagnostic is None  # rewritten
 
+    def test_entry_with_old_mark_layout_diagnosed_and_recomputed(
+            self, tmp_path):
+        # An entry whose identity matches the current format but whose
+        # marks lack a field cannot be built into a profile: it is
+        # diagnosed and recomputed, not raised from Campaign(config).
+        cache = GoldenCache(tmp_path)
+        config = warm_config("bitcount", "dift", cache_dir=str(tmp_path))
+        fresh = Campaign(config).profile
+        assert fresh.marks
+        fields = vars(fresh).copy()
+        fields["marks"] = [mark[:4] for mark in fresh.marks]
+        write_container(cache.path_for(config), {
+            "identity": encode_obj(golden_identity(config)),
+            "profile": encode_obj(fields),
+        })
+        profile, diagnostic = cache.load(config)
+        assert profile is None
+        assert "unusable (TypeError" in diagnostic
+        assert diagnostic.endswith("recomputing")
+        rebuilt = Campaign(config)
+        assert "unusable" in rebuilt.cache_diagnostic
+        assert rebuilt.golden is not None  # recomputed
+        assert rebuilt.profile == fresh
+        assert Campaign(config).cache_diagnostic is None  # rewritten
+
     def test_corrupt_entry_diagnosed_and_recomputed(self, tmp_path):
         cache = GoldenCache(tmp_path)
         config = sec_config(cache_dir=str(tmp_path))
@@ -410,9 +436,9 @@ def warm_config(workload: str, extension: str,
 
 
 class TestWarmStartEquivalence:
-    """Warm-started campaigns (faulted runs forked from cached prefix
-    snapshots) must be bit-identical to cold campaigns that re-run
-    every fault-free prefix from reset."""
+    """Warm-started campaigns (faulted runs forked from the golden
+    run's landmark states) must be bit-identical to cold campaigns
+    that re-run every fault-free prefix from reset."""
 
     @pytest.mark.parametrize("extension", WARM_EXTENSIONS)
     @pytest.mark.parametrize("workload", WARM_WORKLOADS)
@@ -460,8 +486,8 @@ class TestWarmStartEquivalence:
         assert sec_config(warm_start=False).journal_identity() == base
         assert sec_config(batch_size=1).journal_identity() == base
 
-    def test_prefix_snapshots_cached_on_disk(self, tmp_path,
-                                             monkeypatch):
+    def test_golden_entry_carries_landmark_states(self, tmp_path,
+                                                  monkeypatch):
         config = warm_config("bitcount", "dift",
                              cache_dir=str(tmp_path))
         first = Campaign(config)
@@ -552,6 +578,112 @@ class TestLandmarkForks:
                                     warm_start=False))
         for index in range(4):
             assert campaign.run_one(index) == cold.run_one(index)
+
+
+#: the CFGR-upset equivalence grid: three workload/monitor pairs whose
+#: golden runs commit different sets of instruction classes.
+CFGR_CAMPAIGNS = (("sha", "dift"), ("crc32", "sec"), ("bitcount", "bc"))
+
+
+class TestCfgrUpsets:
+    """``lut-config`` faults on the warm path: an upset of a class the
+    golden run never commits is decided from the golden profile, any
+    other forks from the last landmark before that class's first
+    commit.  Both must equal the cold run, which upsets the CFGR at
+    reset and runs to the end."""
+
+    @staticmethod
+    def config(workload, extension, **overrides):
+        return CampaignConfig(extension=extension, workload=workload,
+                              scale=0.03125, faults=1, seed=1,
+                              models=("lut-config",), **overrides)
+
+    @pytest.mark.parametrize("workload, extension", CFGR_CAMPAIGNS)
+    def test_every_bit_matches_cold(self, workload, extension):
+        warm = Campaign(self.config(workload, extension))
+        cold = Campaign(self.config(workload, extension,
+                                    warm_start=False))
+        plans = []
+        plan = warm._warm_plan
+
+        def spy(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        warm._warm_plan = spy
+        paths = set()
+        for bit in range(64):
+            spec = FaultSpec.make("lut-config", bit=bit)
+            before = len(plans)
+            result = warm.classify(spec, 0, warm.run_spec(spec))
+            if len(plans) == before:
+                paths.add("decided")
+            elif plans[-1] is not None:
+                paths.add("forked")
+            assert result == cold.classify(spec, 0, cold.run_spec(spec))
+        assert paths == {"decided", "forked"}
+        # an upset digest never matches a golden one
+        assert warm.converged_exits == 0
+
+    def test_never_committed_class_simulates_nothing(self, monkeypatch):
+        campaign = Campaign(self.config("bitcount", "bc"))
+        bit = 2 * int(InstrClass.RESERVED27) + 1
+        spec = FaultSpec.make("lut-config", bit=bit)
+        assert campaign.profile.first_commits[InstrClass.RESERVED27] is None
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("an inert fault must not simulate")
+
+        monkeypatch.setattr(FlexCoreSystem, "run_bounded", refuse)
+        monkeypatch.setattr(campaign, "_build_system", refuse)
+        result = campaign.classify(spec, 0, campaign.run_spec(spec))
+        assert not calls
+        assert result.outcome is Outcome.MASKED
+        assert result.termination == "halted"
+        assert (result.instructions, result.cycles) == (
+            campaign.profile.instructions, campaign.profile.cycles)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(warm_start=False),
+        dict(checkpoint_every=500, recover=True),
+    ])
+    def test_cold_referees_still_simulate(self, overrides, monkeypatch):
+        campaign = Campaign(self.config("bitcount", "bc", **overrides))
+        spec = FaultSpec.make("lut-config",
+                              bit=2 * int(InstrClass.RESERVED27))
+        calls = []
+        run_bounded = FlexCoreSystem.run_bounded
+
+        def spy(system, **kwargs):
+            calls.append(kwargs)
+            return run_bounded(system, **kwargs)
+
+        monkeypatch.setattr(FlexCoreSystem, "run_bounded", spy)
+        result = campaign.classify(spec, 0, campaign.run_spec(spec))
+        assert len(calls) == 1
+        assert result.outcome is Outcome.MASKED
+
+    def test_first_commits_match_a_reference_scan(self):
+        campaign = Campaign(self.config("sha", "dift"))
+        system = campaign._build_system()
+        first = {}
+        commits = [0]
+
+        def scan(record):
+            commits[0] += 1
+            if not record.annulled:
+                first.setdefault(record.instr_class, commits[0])
+
+        system.record_hooks.append(scan)
+        result = system.run_bounded(engine="reference")
+        assert result.instructions == campaign.profile.instructions
+        assert campaign.profile.first_commits == tuple(
+            first.get(klass) for klass in InstrClass)
+        # some classes never commit, and the halt is the last first
+        assert any(f is None for f in campaign.profile.first_commits)
+        assert max(first.values()) == result.instructions  # the halt
 
 
 #: a loop that rewrites one of its own text words with that word's
@@ -689,7 +821,7 @@ class TestWarmChaosKill:
     forks from the landmark states in the golden-cache entry the
     killed process already wrote."""
 
-    def test_sigkill_then_resume_reuses_prefix_cache(self, tmp_path):
+    def test_sigkill_then_resume_forks_from_golden_entry(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
         cache_dir = tmp_path / "cache"
         ref_json = tmp_path / "ref.json"
