@@ -11,12 +11,13 @@ run down, never poison it.
 
 :class:`GoldenCache` specialises it for fault campaigns.  The golden
 run is the serial prefix of every campaign: it must finish before any
-fault can be planned, and for the larger workloads it dominates
-campaign start-up — once per campaign *and once more per worker
-process*.  Its result, the
+fault can be planned, and for the larger workloads it is most of
+campaign start-up.  It runs once per campaign (pool workers get the
+parent's profile).  Its result, the
 :class:`~repro.faultinject.models.GoldenProfile`, depends only on the
-(workload, extension, simulator configuration) triple, so it is safe
-to memoise on disk.  :class:`repro.engine.sweep.SweepRunner` reuses
+(workload, extension, simulator configuration) triple — and on the MDL
+sources, when the extension is a compiled monitor — so it is safe to
+memoise on disk.  :class:`repro.engine.sweep.SweepRunner` reuses
 the same machinery for table/figure sweep points.
 """
 
@@ -54,8 +55,12 @@ GOLDEN_FORMAT = 4
 def golden_identity(config: "CampaignConfig") -> dict:
     """The fields the golden run's outcome depends on — and nothing
     else (``jobs``, ``faults``, ``seed`` etc. must not fragment the
-    cache) — plus the profile layout version."""
-    return {
+    cache) — plus the profile layout version.
+
+    A campaign's MDL specs may register a monitor under a built-in
+    name, so the identity carries them; only when there are any, so
+    entries of campaigns without MDL keep their key."""
+    identity = {
         "format": GOLDEN_FORMAT,
         "workload": config.workload,
         "source": config.source,
@@ -66,6 +71,9 @@ def golden_identity(config: "CampaignConfig") -> dict:
         "fifo_depth": config.fifo_depth,
         "max_instructions": config.max_instructions,
     }
+    if config.mdl:
+        identity["mdl"] = [list(pair) for pair in config.mdl]
+    return identity
 
 
 def _identity_key(identity: dict) -> str:

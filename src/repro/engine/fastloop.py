@@ -31,7 +31,11 @@ Which table runs is decided by ``FlexCoreSystem.run_bounded``
 record hooks or a tracer force the reference table, because hooks see
 every ``CommitRecord`` and a tracer records events the fused closures
 deliberately skip.  Metrics do not: ``run_bounded`` publishes them
-from the stats once the loop returns.
+from the stats once the loop returns.  Nor do the system's
+``handler_wraps``, which are not record hooks: ``HandlerTable.build``
+wraps each PC's fused handler once, when it builds it, and the loop
+calls the wrapped handler like any other.  ``ReferenceTable`` does not
+apply them.
 """
 
 from __future__ import annotations

@@ -70,7 +70,10 @@ CALL's (link, then jump).  Fidelity rules the closures follow:
   by reference counting.
 
 Handlers are built lazily (on first execution of each PC), so a table
-never describes memory it has not read.
+never describes memory it has not read.  Each built handler is passed
+through the system's ``handler_wraps``, once per build; a rebuilt
+handler (after a text store) is wrapped again, and a system with no
+wraps runs its handlers bare.
 """
 
 from __future__ import annotations
@@ -194,7 +197,8 @@ class HandlerTable:
     # ------------------------------------------------------------------
 
     def build(self, pc: int):
-        """Decode the word at ``pc`` and install its handler.
+        """Decode the word at ``pc`` and install its handler, wrapped
+        by each of the system's ``handler_wraps`` in turn.
 
         Raises exactly what the reference fetch/decode would raise
         (``MemoryFault`` on unmapped/misaligned PCs, the decoder's
@@ -243,6 +247,8 @@ class HandlerTable:
             forward = (None if policy == ForwardPolicy.IGNORE else
                        iface.forward_tail(instr_class, word, self._tails))
             handler = factory(pc, word, instr, latency, forward)
+        for wrap in self.system.handler_wraps:
+            handler = wrap(instr, handler)
         self.handlers[pc] = handler
         return handler
 

@@ -123,7 +123,7 @@ class PoolPolicy:
 
     #: per-task deadline in seconds (``None`` = never presume a task
     #: hung).  Also bounds worker start-up, which may include heavy
-    #: initializer work such as a campaign's golden run.
+    #: initializer work.
     task_timeout: float | None = None
     #: how many times one task may be re-dispatched after an infra
     #: failure before it is quarantined.

@@ -73,7 +73,12 @@ from repro.flexcore.system import (
     Termination,
 )
 from repro.isa.assembler import Program, assemble
-from repro.isa.opcodes import ALU_CLASSES, NUM_INSTR_CLASSES
+from repro.isa.opcodes import (
+    ALU_CLASSES,
+    LOAD_CLASSES,
+    NUM_INSTR_CLASSES,
+    STORE_CLASSES,
+)
 from repro.telemetry.profiler import PhaseProfiler
 from repro.util.rng import derive_rng
 from repro.workloads import build_workload
@@ -87,6 +92,8 @@ MARK_STRIDE = 256
 #: the list length stays below ``2 * MAX_PROFILE_MARKS`` however long
 #: the run is, while late faults keep nearby fork points).
 MAX_PROFILE_MARKS = 64
+#: a 32-bit effective address's word: ``& MASK32 & ~3`` in one mask.
+_WORD_ADDRESS = 0xFFFFFFFC
 
 
 class CampaignError(Exception):
@@ -239,8 +246,8 @@ class CampaignConfig:
     jobs: int = 1
     #: lockstep batch size for parallel runs: up to this many fault
     #: indices ride one worker dispatch, sharing the worker's golden
-    #: profile, instruction decode memo and warm-start prefix
-    #: snapshots.  Results stream back one fault at a time, so retry,
+    #: profile (landmark states included) and instruction decode
+    #: memo.  Results stream back one fault at a time, so retry,
     #: quarantine and journal granularity stay per fault (a batch
     #: that fails mid-way requeues only its unfinished members).
     #: Scheduling only — never part of the journal identity.
@@ -386,11 +393,16 @@ class CampaignConfig:
 class Campaign:
     """One fault-injection campaign: golden run + N faulted runs."""
 
-    def __init__(self, config: CampaignConfig):
+    def __init__(self, config: CampaignConfig, *,
+                 profile: GoldenProfile | None = None):
+        """Build the program and get the golden profile: ``profile``
+        when given (a pool worker's copy of its parent's, computed for
+        this same config), else from the golden cache, else by running
+        the golden run."""
         self.config = config
         # Registration lives here, not in the config's __post_init__:
         # unpickling a dataclass skips __init__ entirely, but every
-        # worker process rebuilds ``Campaign(config)`` in
+        # worker process rebuilds its ``Campaign`` in
         # ``_init_worker``, so this is the one place guaranteed to run
         # wherever ``create_extension`` is about to be called.
         if config.mdl:
@@ -414,11 +426,11 @@ class Campaign:
         #: structured degradation warnings (cache/journal unwritable,
         #: pool fell back to serial, ...) — surfaced by the CLI.
         self.warnings: list[str] = []
-        #: the golden RunResult; None when the profile came from the
-        #: cache and the golden run was skipped entirely.
+        #: the golden RunResult; None when the profile was handed in
+        #: or came from the cache, and the golden run was skipped.
         self.golden: RunResult | None = None
-        cache = GoldenCache(config.cache_dir) if config.cache_dir else None
-        profile = None
+        cache = (GoldenCache(config.cache_dir)
+                 if config.cache_dir and profile is None else None)
         if cache is not None:
             profile, self.cache_diagnostic = cache.load(config)
             if (profile is not None
@@ -474,30 +486,59 @@ class Campaign:
         )
 
     def _golden_run(self) -> tuple[RunResult, GoldenProfile]:
+        """Run the workload fault-free on the fast engine and profile
+        it into the :class:`GoldenProfile` every faulted run is judged
+        against.
+
+        The profile is counted per PC: a wrap in the system's
+        ``handler_wraps`` puts counters around each PC's fused handler
+        when the engine builds it.  A wrapped handler counts only when
+        it runs, so an annulled delay slot, whose handler is built but
+        never called, counts nowhere.  It reads ``cpu.instret`` for a
+        class's first commit after the instruction committed, and a
+        store's word address from the registers before it executed.
+        So the profile equals what a record hook on the reference
+        engine sees of the non-annulled commits (the tests hold the
+        two side by side).  Every ``MARK_STRIDE`` commits a landmark
+        is kept.
+        """
         system = self._build_system()
-        counts = {"alu": 0, "load": 0, "store": 0}
+        cpu = system.cpu
+        read = cpu.regs.read
+        # Non-annulled commits per instruction class, and the instret
+        # of each class's first one (None = never committed).
+        commits = [0] * NUM_INSTR_CLASSES
+        first: list[int | None] = [None] * NUM_INSTR_CLASSES
         addresses: dict[int, None] = {}  # insertion-ordered set
         marks: list[ProfileMark] = []
         stride = MARK_STRIDE
-        # instret of each class's first commit.  Annulled slots read no
-        # policy at commit, so only the commits that do count.
-        first: list[int | None] = [None] * NUM_INSTR_CLASSES
-        cpu = system.cpu
 
-        def profile_hook(record):
-            if not record.annulled:
-                klass = record.instr_class
+        def count(instr, handler):
+            klass = instr.instr_class
+            if not instr.is_store:
+                def counted(now):
+                    now = handler(now)
+                    commits[klass] += 1
+                    if first[klass] is None:
+                        first[klass] = cpu.instret
+                    return now
+
+                return counted
+            rs1, rs2 = instr.rs1, instr.rs2
+            use_imm, imm = instr.use_imm, instr.imm
+
+            def counted_store(now):
+                addr = (read(rs1) + (imm if use_imm else read(rs2))
+                        ) & _WORD_ADDRESS
+                now = handler(now)
+                commits[klass] += 1
                 if first[klass] is None:
                     first[klass] = cpu.instret
-                if klass in ALU_CLASSES:
-                    counts["alu"] += 1
-                if record.is_load:
-                    counts["load"] += 1
-                if record.is_store:
-                    counts["store"] += 1
-                    addr = record.addr & ~3
-                    if len(addresses) < MAX_PROFILE_ADDRESSES:
-                        addresses[addr] = None
+                if len(addresses) < MAX_PROFILE_ADDRESSES:
+                    addresses[addr] = None
+                return now
+
+            return counted_store
 
         def landmark(_system, state):
             # Every ``stride`` commits (annulled slots included,
@@ -511,14 +552,15 @@ class Campaign:
             instret = state["cpu"]["instret"]
             forwarded = (system.interface.stats.forwarded
                          if system.interface else 0)
-            marks.append(ProfileMark(instret, counts["alu"], forwarded,
+            alu = sum(commits[klass] for klass in ALU_CLASSES)
+            marks.append(ProfileMark(instret, alu, forwarded,
                                      *pack_state(state)))
             if len(marks) == 2 * MAX_PROFILE_MARKS:
                 del marks[::2]
                 stride *= 2
             return instret + stride
 
-        system.record_hooks.append(profile_hook)
+        system.handler_wraps.append(count)
         deadline = None
         if self.config.wallclock_limit is not None:
             deadline = time.monotonic() + self.config.wallclock_limit
@@ -528,6 +570,11 @@ class Campaign:
             checkpoint_every=MARK_STRIDE,
             on_checkpoint=landmark,
         )
+        if result.engine != "fast":
+            raise CampaignError(
+                f"golden run fell back to the {result.engine} engine, "
+                f"which does not apply its profile counters"
+            )
         if result.termination != Termination.HALTED:
             raise CampaignError(
                 f"golden run did not halt cleanly "
@@ -540,9 +587,9 @@ class Campaign:
         profile = GoldenProfile(
             instructions=result.instructions,
             cycles=result.cycles,
-            alu_commits=counts["alu"],
-            load_commits=counts["load"],
-            store_commits=counts["store"],
+            alu_commits=sum(commits[klass] for klass in ALU_CLASSES),
+            load_commits=sum(commits[klass] for klass in LOAD_CLASSES),
+            store_commits=sum(commits[klass] for klass in STORE_CLASSES),
             forwarded=result.interface_stats.forwarded,
             store_addresses=tuple(addresses),
             text_base=program.text_base,
@@ -1093,8 +1140,9 @@ class Campaign:
     def _run_parallel(self, indices, record) -> None:
         """Fan the runs out over the supervised process pool.
 
-        Each worker rebuilds the campaign once (fork keeps this cheap)
-        and runs *lockstep batches* of up to ``config.batch_size``
+        Each worker rebuilds the campaign once from this campaign's
+        golden profile, so the golden run is never repeated there, and
+        runs *lockstep batches* of up to ``config.batch_size``
         indices per dispatch: the members of a batch share the
         worker's golden profile (landmark states included) and
         instruction decode memo, and their results stream back one
@@ -1122,9 +1170,8 @@ class Campaign:
         timeout = self.config.task_timeout
         if timeout is None and self.config.wallclock_limit is not None:
             # The pool deadline must comfortably outlast the
-            # in-simulation watchdog (golden run + faulted run share
-            # one worker dispatch at startup), or healthy-but-slow
-            # runs would be reaped as hung.
+            # in-simulation watchdog, or healthy-but-slow runs would be
+            # reaped as hung.
             timeout = 2.0 * self.config.wallclock_limit + 30.0
         policy = PoolPolicy(
             task_timeout=timeout,
@@ -1151,7 +1198,8 @@ class Campaign:
 
         self.pool_stats = fan_out(
             batches, _worker_run_batch, record, jobs=self.config.jobs,
-            initializer=_init_worker, initargs=(worker_config,),
+            initializer=_init_worker,
+            initargs=(worker_config, self.profile),
             policy=policy, on_quarantine=quarantine, warn=self._warn,
             shrink=_shrink_batch, explode=_explode_batch,
         )
@@ -1165,12 +1213,12 @@ def _raise_keyboard_interrupt(signum, frame):
 _WORKER_CAMPAIGN: Campaign | None = None
 
 
-def _init_worker(config: CampaignConfig) -> None:
+def _init_worker(config: CampaignConfig, profile: GoldenProfile) -> None:
     from repro.engine.pool import worker_signals
 
     worker_signals()
     global _WORKER_CAMPAIGN
-    _WORKER_CAMPAIGN = Campaign(config)
+    _WORKER_CAMPAIGN = Campaign(config, profile=profile)
 
 
 def _worker_run(index: int) -> FaultResult:

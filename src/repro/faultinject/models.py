@@ -58,6 +58,11 @@ class ProfileMark(tuple):
                   str(digest), state)
         )
 
+    def __getnewargs__(self):
+        # pickle rebuilds a tuple subclass as ``cls.__new__(cls,
+        # *args)``; tuple's own args are the one tuple, not the fields.
+        return tuple(self)
+
     @property
     def instret(self) -> int:
         return self[0]

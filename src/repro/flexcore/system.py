@@ -212,6 +212,12 @@ class FlexCoreSystem:
         #: hooks applied to every commit record before forwarding —
         #: used for fault injection in the SEC example/tests.
         self.record_hooks: list = []
+        #: callables ``wrap(instr, handler) -> handler`` the fast
+        #: engine applies to each PC's handler once, when it builds it
+        #: (the campaign's golden-run profile counters).  Not state,
+        #: like ``record_hooks``; unlike them they keep the fast
+        #: engine, and the reference engine does not apply them.
+        self.handler_wraps: list = []
         #: simulation time (core cycles, fractional while the fabric
         #: clock divides them).  Promoted to system state so snapshots
         #: can freeze and resume a run mid-flight.
@@ -311,9 +317,11 @@ class FlexCoreSystem:
         Record hooks must see every :class:`CommitRecord`, and a
         tracer records events the fused closures skip, so either
         forces the reference engine.  Metrics do not: they are
-        published from the stats when the run ends.  The *results*
-        are bit-identical regardless — this only preserves the
-        observers' view.
+        published from the stats when the run ends.  Nor do
+        ``handler_wraps``: they are not record hooks but wrap each
+        fused handler when it is built, and only the fast engine
+        applies them.  The *results* are bit-identical regardless —
+        this only preserves the observers' view.
         """
         return not self.record_hooks and (
             self.telemetry is None or self.telemetry.tracer is None

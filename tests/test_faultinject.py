@@ -2,6 +2,7 @@
 classification, determinism, parallel fan-out, crash safety."""
 
 import json
+import os
 import pickle
 
 import pytest
@@ -236,6 +237,30 @@ class TestCampaignRuns:
     def test_parallel_matches_serial(self):
         serial = umc_campaign(faults=6).run()
         parallel = umc_campaign(faults=6, jobs=2).run()
+        assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize("fallback", ["auto", "force"])
+    def test_parallel_runs_the_golden_run_once(self, fallback, tmp_path,
+                                               monkeypatch):
+        # Pool workers, and the in-process serial fallback, build their
+        # campaign from the parent's golden profile.  Each golden run
+        # appends its pid to a file, so forked workers' runs count too;
+        # three batches of two keep the pool from running one batch
+        # in-process.
+        log = tmp_path / "golden-runs"
+        golden_run = Campaign._golden_run
+
+        def logged(campaign):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return golden_run(campaign)
+
+        monkeypatch.setattr(Campaign, "_golden_run", logged)
+        serial = umc_campaign(faults=6).run()
+        log.unlink()
+        parallel = umc_campaign(faults=6, jobs=2, batch_size=2,
+                                serial_fallback=fallback).run()
+        assert log.read_text().split() == [str(os.getpid())]
         assert serial.to_json() == parallel.to_json()
 
     def test_json_round_trips(self):

@@ -1,8 +1,10 @@
 """Resumable campaigns: journals, golden cache, interruption,
 rollback-recovery outcomes, and the kill -9 chaos path."""
 
+import dataclasses
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -20,13 +22,16 @@ from repro.checkpoint import (
     decode_obj,
     encode_obj,
     golden_identity,
+    pack_state,
     state_digest,
     unpack_state,
     write_container,
 )
+from repro.extensions import unregister_extension
 from repro.faultinject import (
     Campaign,
     CampaignConfig,
+    CampaignError,
     CampaignInterrupted,
     FaultResult,
     FaultSpec,
@@ -36,7 +41,8 @@ from repro.faultinject import campaign as campaign_module
 from repro.faultinject.campaign import MARK_STRIDE
 from repro.faultinject.models import ProfileMark, create_model
 from repro.flexcore.system import FlexCoreSystem
-from repro.isa.opcodes import InstrClass
+from repro.isa.opcodes import ALU_CLASSES, InstrClass
+from repro.mdl import SHIPPED_SPEC_DIR
 
 SOURCE = """
         .text
@@ -370,6 +376,32 @@ class TestGoldenCache:
         assert rebuilt.profile == fresh
         assert Campaign(config).cache_diagnostic is None  # rewritten
 
+    def test_mdl_monitor_under_a_builtin_name_keys_its_own_entry(
+            self, tmp_path):
+        # An MDL spec that registers a slower ``bc`` writes the cache
+        # for ``--extension bc``; the hand-written bc campaign sharing
+        # the cache directory must miss that entry, not take its
+        # profile, and report exactly what it reports uncached.
+        source = (SHIPPED_SPEC_DIR / "bc.mdl").read_text()
+        assert "cycles 2" in source
+        spec = ("bc.mdl", source.replace("cycles 2", "cycles 6"))
+        settings = dict(extension="bc", workload="bitcount",
+                        scale=0.03125, faults=30, seed=1)
+        uncached = Campaign(CampaignConfig(**settings)).run().to_json()
+        cached = CampaignConfig(**settings, cache_dir=str(tmp_path))
+        try:
+            mdl = Campaign(replace(cached, mdl=(spec,)))
+        finally:
+            unregister_extension("bc")  # as a fresh process would start
+        handwritten = Campaign(cached)
+        assert handwritten.profile != mdl.profile
+        assert handwritten.run().to_json() == uncached
+        assert "miss" in handwritten.cache_diagnostic
+        assert Campaign(cached).cache_diagnostic is None  # its own entry
+        # entries of campaigns without MDL keep their key
+        assert "mdl" in golden_identity(mdl.config)
+        assert "mdl" not in golden_identity(cached)
+
     def test_corrupt_entry_diagnosed_and_recomputed(self, tmp_path):
         cache = GoldenCache(tmp_path)
         config = sec_config(cache_dir=str(tmp_path))
@@ -667,6 +699,7 @@ class TestCfgrUpsets:
 
     def test_first_commits_match_a_reference_scan(self):
         campaign = Campaign(self.config("sha", "dift"))
+        assert_matches_reference_scan(campaign)
         system = campaign._build_system()
         first = {}
         commits = [0]
@@ -706,6 +739,160 @@ patch:  mov     7, %g3
         .data
 slot:   .word 0
 """
+
+
+#: delay slots the golden run annuls: the loop's ``bne,a`` annuls its
+#: slot once, on the exit; ``ba,a`` always annuls its slot, a store to
+#: ``spare``; and the final ``bne,a`` is never taken, so the only MUL
+#: in the program never commits.
+ANNULLED_SLOTS = """
+        .text
+start:  set     buf, %o2
+        set     spare, %o3
+        mov     200, %o1
+loop:   subcc   %o1, 1, %o1
+        st      %o1, [%o2]
+        bne,a   loop
+        add     %o2, 4, %o2
+        ba,a    done
+        st      %o1, [%o3]
+done:   bne,a   done
+        smul    %o1, %o1, %o4
+        ta      0
+        nop
+        .data
+buf:    .space  800
+spare:  .word   0
+"""
+
+
+def reference_scan(campaign: Campaign):
+    """The campaign's golden profile as a record hook sees it on the
+    reference engine, and the number of annulled slots it saw: the
+    referee for the fused engine's per-PC profile counters."""
+    system = campaign._build_system()
+    cpu = system.cpu
+    counts = {"alu": 0, "load": 0, "store": 0, "annulled": 0}
+    addresses: dict[int, None] = {}
+    first = [None] * len(InstrClass)
+    marks = []
+    stride = MARK_STRIDE
+
+    def hook(record):
+        if record.annulled:
+            counts["annulled"] += 1
+            return
+        klass = record.instr_class
+        if first[klass] is None:
+            first[klass] = cpu.instret
+        if klass in ALU_CLASSES:
+            counts["alu"] += 1
+        if record.is_load:
+            counts["load"] += 1
+        if record.is_store:
+            counts["store"] += 1
+            if len(addresses) < campaign_module.MAX_PROFILE_ADDRESSES:
+                addresses[record.addr & ~3] = None
+
+    def landmark(_system, state):
+        nonlocal stride
+        instret = state["cpu"]["instret"]
+        marks.append(ProfileMark(instret, counts["alu"],
+                                 system.interface.stats.forwarded,
+                                 *pack_state(state)))
+        if len(marks) == 2 * campaign_module.MAX_PROFILE_MARKS:
+            del marks[::2]
+            stride *= 2
+        return instret + stride
+
+    system.record_hooks.append(hook)
+    result = system.run_bounded(checkpoint_every=MARK_STRIDE,
+                                on_checkpoint=landmark)
+    assert result.engine == "reference"
+    profile = replace(
+        campaign.profile,
+        instructions=result.instructions,
+        cycles=result.cycles,
+        alu_commits=counts["alu"],
+        load_commits=counts["load"],
+        store_commits=counts["store"],
+        forwarded=result.interface_stats.forwarded,
+        store_addresses=tuple(addresses),
+        output=campaign._signature(result),
+        marks=tuple(marks),
+        first_commits=tuple(first),
+    )
+    return profile, counts["annulled"]
+
+
+def assert_matches_reference_scan(campaign: Campaign) -> int:
+    """Hold the campaign's golden profile, counted on the fast engine,
+    field for field against :func:`reference_scan`; return the number
+    of annulled slots the scan saw."""
+    assert campaign.golden.engine == "fast"
+    fused = campaign.profile
+    reference, annulled = reference_scan(campaign)
+    for field in dataclasses.fields(fused):
+        assert (getattr(fused, field.name)
+                == getattr(reference, field.name)), field.name
+    assert fused.marks and fused.store_addresses
+    return annulled
+
+
+class TestGoldenProfileReferee:
+    """The golden run profiles on the fast engine, with counters its
+    handlers carry; a record-hook scan on the reference engine must
+    see the same profile, landmark states included."""
+
+    @pytest.mark.parametrize("workload, extension",
+                             CFGR_CAMPAIGNS[1:])
+    def test_workload_profile_matches(self, workload, extension):
+        campaign = Campaign(TestCfgrUpsets.config(workload, extension))
+        assert_matches_reference_scan(campaign)
+
+    def test_text_stores_rewrap_rebuilt_handlers(self):
+        # Each iteration's store into text drops the handler of
+        # ``patch``; its rebuilt handler must count as the first did.
+        campaign = Campaign(CampaignConfig(
+            extension="sec", source=SELF_REPAIRING, faults=1))
+        assert_matches_reference_scan(campaign)
+        profile = campaign.profile
+        assert campaign.program.symbol("patch") in profile.store_addresses
+
+    def test_annulled_slots_count_nowhere(self):
+        campaign = Campaign(CampaignConfig(
+            extension="dift", source=ANNULLED_SLOTS, faults=1))
+        assert assert_matches_reference_scan(campaign) == 3
+        profile = campaign.profile
+        assert profile.first_commits[InstrClass.MUL] is None
+        assert (campaign.program.symbol("spare")
+                not in profile.store_addresses)
+        assert profile.store_commits == 200
+
+    def test_store_address_cap_keeps_first_seen(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "MAX_PROFILE_ADDRESSES", 5)
+        campaign = Campaign(TestCfgrUpsets.config("crc32", "sec"))
+        assert_matches_reference_scan(campaign)
+        assert len(campaign.profile.store_addresses) == 5
+
+    def test_marks_survive_halving(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "MAX_PROFILE_MARKS", 3)
+        campaign = Campaign(TestCfgrUpsets.config("bitcount", "bc"))
+        assert_matches_reference_scan(campaign)
+        assert campaign.profile.marks[0].instret > MARK_STRIDE
+
+    def test_reference_fallback_refuses_to_profile(self, monkeypatch):
+        monkeypatch.setattr(FlexCoreSystem, "_fast_loop_supported",
+                            lambda system: False)
+        with pytest.raises(CampaignError, match="reference engine"):
+            Campaign(TestCfgrUpsets.config("bitcount", "bc"))
+
+    def test_profile_pickles(self):
+        # pool workers may receive the parent's profile pickled
+        campaign = Campaign(TestCfgrUpsets.config("bitcount", "bc"))
+        clone = pickle.loads(pickle.dumps(campaign.profile))
+        assert clone == campaign.profile
+        assert all(type(mark) is ProfileMark for mark in clone.marks)
 
 
 class TestConvergenceExit:
