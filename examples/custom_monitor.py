@@ -4,21 +4,24 @@
 The whole point of FlexCore (vs. MemTracker/FlexiTaint-style fixed-
 function monitors) is that the fabric is *general*: a new technique is
 just a new bitstream.  In the reproduction, a new technique is a new
-``MonitorExtension`` subclass.  This example builds a heap
+``MonitorExtension`` subclass whose ``build_op`` states its datapath:
+one fabric op per instruction class.  This example builds a heap
 write-set profiler — it watches every store, histograms them by
 address region, and flags writes into a configurable "red zone" — and
 shows that the same cost models immediately report its area, power and
 achievable clock on the fabric.
 """
 
+import weakref
+
 from repro import assemble, run_program
-from repro.extensions import MonitorExtension, PacketOutcome
+from repro.extensions import MonitorExtension
 from repro.fabric import (
     LogicNetwork,
     Prim,
     synthesize_fabric,
 )
-from repro.flexcore import ForwardConfig, ForwardPolicy, TracePacket
+from repro.flexcore import ForwardConfig, ForwardPolicy
 from repro.isa import STORE_CLASSES, FlexOpf, InstrClass
 
 
@@ -41,26 +44,37 @@ class WriteProfiler(MonitorExtension):
         config.set(InstrClass.FLEX, ForwardPolicy.ALWAYS)
         return config
 
-    def process(self, packet: TracePacket) -> PacketOutcome:
-        if packet.opcode == InstrClass.FLEX:
-            outcome = self.handle_flex(packet)
-            if packet.opf == FlexOpf.SET_TAGVAL:
-                # Reuse the tagval op to set the red zone: srcv1 = lo,
-                # srcv2 = hi.  Extensions own their opf semantics.
-                self.red_zone = (packet.srcv1, packet.srcv2)
-            return outcome
+    def build_op(self, klass):
+        """One fabric op per instruction class.  Ops are cached on the
+        monitor, so they reach it through a weak proxy; ``red_zone``
+        is replaced by the FLEX op, so it is read through the proxy on
+        every packet."""
+        ext = weakref.proxy(self)
+        if klass == InstrClass.FLEX:
+            def flex(packet, port):
+                ext.handle_flex(packet)
+                if packet.opf == FlexOpf.SET_TAGVAL:
+                    # Reuse the tagval op to set the red zone: srcv1 =
+                    # lo, srcv2 = hi.  Extensions own their opf
+                    # semantics.
+                    ext.red_zone = (packet.srcv1, packet.srcv2)
+                return None
+            return 1, flex
 
-        outcome = PacketOutcome()
-        region = packet.addr >> 12
-        self.histogram[region] = self.histogram.get(region, 0) + 1
-        lo, hi = self.red_zone
-        if lo <= packet.addr < hi:
-            outcome.trap = self.trap(
-                packet, "red-zone-write",
-                f"store into protected region at {packet.addr:#x}",
-                addr=packet.addr,
-            )
-        return outcome
+        histogram = self.histogram
+
+        def store(packet, port):
+            region = packet.addr >> 12
+            histogram[region] = histogram.get(region, 0) + 1
+            lo, hi = ext.red_zone
+            if lo <= packet.addr < hi:
+                return ext.trap(
+                    packet, "red-zone-write",
+                    f"store into protected region at {packet.addr:#x}",
+                    addr=packet.addr,
+                )
+            return None
+        return 1, store
 
     def status_word(self) -> int:
         return sum(self.histogram.values()) & 0xFFFFFFFF

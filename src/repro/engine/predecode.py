@@ -38,10 +38,10 @@ CALL's (link, then jump).  Fidelity rules the closures follow:
   ``CoreFabricInterface.forward_tail`` built for the class and op
   shape: ``on_commit``'s body with the FIFO, the fabric timing and the
   extension's fabric op inlined, so the packet reaches its op in one
-  call.  Under a tracer or a meta-data TLB, for an extension without
-  ops, and when ``process`` is patched on the instance (the
-  ``fifo-drop`` fault) the tail runs the reference ``_service``, which
-  calls ``process``, in the op's place.
+  call.  Every extension, MDL-compiled ones included, has ops.  Under
+  a tracer or a meta-data TLB, and when ``process`` is patched on the
+  instance (the ``fifo-drop`` fault), the tail runs the reference
+  ``_service``, which calls ``process``, in the op's place.
 * The rare opcodes (FLEX, TICC, SAVE/RESTORE, RETT, LDD/STD) run
   through the original ``CpuState._execute`` / ``CoreTiming.advance``
   / ``on_commit`` machinery — only the fetch and decode are skipped.

@@ -13,20 +13,20 @@ A monitoring extension is characterised by three things:
 the four prototypes of the paper (UMC, DIFT, BC, SEC) subclass it, and
 `examples/custom_monitor.py` shows a fifth, user-defined one.
 
-An extension states its transparent operations one of two ways:
-
-* override :meth:`MonitorExtension.process`, which returns a
-  :class:`PacketOutcome` per packet; or
-* implement :meth:`MonitorExtension.build_op`, one *fabric op* per
-  (instruction class, access shape), as the paper's fabric runs one
-  fixed datapath per configured extension.  An op is
-  ``op(packet, port) -> MonitorTrap | None``: it reads Table-II packet
-  fields plus statics bound when it was built, updates tags in place,
-  and sends each meta-data access through ``port.read(addr)`` /
-  ``port.write(addr, mask)``.  The inherited :meth:`process` runs the
-  op against a :class:`PacketOutcome` (which records the accesses);
-  the interface runs the same op against a port that charges them to
-  the meta-data cache and shared bus as they happen.
+An extension states its transparent operations as *fabric ops*, one
+per (instruction class, access shape) from
+:meth:`MonitorExtension.build_op`, as the paper's fabric runs one
+fixed datapath per configured extension.  An op is
+``op(packet, port) -> MonitorTrap | None``: it reads Table-II packet
+fields plus statics bound when it was built, updates tags in place,
+and sends each meta-data access through ``port.read(addr)`` /
+``port.write(addr, mask)``.  The interface runs the op against a port
+that charges the accesses to the meta-data cache and shared bus as
+they happen.  :meth:`MonitorExtension.process` runs the same op
+against a :class:`PacketOutcome`, which records them; it is the
+reference adapter, for the reference engine and for the runs whose
+interface replays the accesses itself (a tracer, a meta-data TLB, or
+a ``process`` patched on the instance).
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class MonitorExtension(abc.ABC):
         #: telemetry bundle is attached); not monitor state, so it is
         #: never part of a snapshot.
         self.metrics = NULL_METRICS
-        #: shape -> (fabric cycles, op) or None, built on first use.
+        #: shape -> (fabric cycles, op), built on first use.
         self._ops: dict = {}
 
     # -- construction hooks -------------------------------------------------
@@ -151,18 +151,11 @@ class MonitorExtension(abc.ABC):
         """The CFGR setting this extension programs at boot."""
 
     def process(self, packet: TracePacket) -> PacketOutcome:
-        """Transparent per-packet operation: bookkeeping + checks.
-
-        The default runs the packet's fabric op with the returned
-        outcome as its port; extensions without ops override this.
-        """
-        op = self.fabric_op(self.op_shape(packet.opcode, packet.inst))
-        if op is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither process() nor "
-                f"build_op()"
-            )
-        cycles, run = op
+        """Transparent per-packet operation, as a recorded outcome:
+        the packet's fabric op run with the returned outcome as its
+        port."""
+        cycles, run = self.fabric_op(
+            self.op_shape(packet.opcode, packet.inst))
         outcome = PacketOutcome(cycles)
         outcome.trap = run(packet, outcome)
         return outcome
@@ -174,19 +167,20 @@ class MonitorExtension(abc.ABC):
         field is ``inst``; the default keys ops by class alone."""
         return klass
 
+    @abc.abstractmethod
     def build_op(self, shape):
-        """``(fabric_cycles, op)`` for one :meth:`op_shape` key, or
-        None when the extension has no op (it overrides
-        :meth:`process` instead).  ``fabric_cycles`` is the packet's
-        initiation interval, fixed per shape.
+        """``(fabric_cycles, op)`` for one :meth:`op_shape` key.
+        ``fabric_cycles`` is the packet's initiation interval, fixed
+        per shape.
 
         The extension caches its ops, so an op that held the extension
         strongly would make a reference cycle, keeping every finished
         system alive until the cyclic collector ran: ops reach it
         through ``weakref.proxy(self)`` and bind its containers, never
-        its bound methods.
+        its bound methods.  A container that :meth:`load_extra_state`
+        replaces, rather than restores in place, is read through the
+        proxy on every call.
         """
-        return None
 
     def fabric_op(self, shape):
         """The op for ``shape``, built once and shared by every packet
@@ -252,13 +246,12 @@ class MonitorExtension(abc.ABC):
         """Value returned by the 'read from co-processor' instruction."""
         return self.traps_seen & 0xFFFFFFFF
 
-    def handle_flex(self, packet: TracePacket) -> PacketOutcome:
+    def handle_flex(self, packet: TracePacket) -> None:
         """Default handling of the extension-independent flex ops.
 
-        Subclasses call this from :meth:`process` for FLEX packets and
-        then layer their own tag ops on top.
+        Subclasses call this from their FLEX op and then layer their
+        own tag ops on top.
         """
-        outcome = PacketOutcome()
         opf = packet.opf
         if opf == FlexOpf.SET_BASE:
             self.meta_base = packet.srcv1
@@ -268,7 +261,6 @@ class MonitorExtension(abc.ABC):
             self.policy = packet.srcv1
         elif opf == FlexOpf.SET_TAGVAL:
             self.tagval = packet.srcv1
-        return outcome
 
     def trap(
         self, packet: TracePacket, kind: str, message: str, addr: int = 0

@@ -15,10 +15,11 @@ and the monitoring is nearly free even at a quarter fabric clock.
 
 from __future__ import annotations
 
-from repro.extensions.base import MonitorExtension, PacketOutcome
+import weakref
+
+from repro.extensions.base import MonitorExtension
 from repro.fabric.logic import LogicNetwork, Prim
 from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
-from repro.flexcore.packet import TracePacket
 from repro.isa.opcodes import InstrClass
 
 DEFAULT_DEPTH = 64
@@ -47,32 +48,41 @@ class ShadowStack(MonitorExtension):
         config.set(InstrClass.FLEX, ForwardPolicy.ALWAYS)
         return config
 
-    def process(self, packet: TracePacket) -> PacketOutcome:
-        if packet.opcode == InstrClass.FLEX:
-            return self.handle_flex(packet)
+    def build_op(self, klass):
+        ext = weakref.proxy(self)  # see MonitorExtension.build_op
+        if klass == InstrClass.FLEX:
+            def flex(packet, port):
+                ext.handle_flex(packet)
+                return None
+            return 1, flex
 
-        outcome = PacketOutcome()
-        if packet.opcode == InstrClass.CALL:
-            self._push(packet.pc + 8)
-            return outcome
+        if klass == InstrClass.CALL:
+            def call(packet, port):
+                ext._push(packet.pc + 8)
+                return None
+            return 1, call
 
-        # JMPL: a call when it links (dest != %g0), a return when the
-        # link register is discarded.
-        if packet.dest != 0:
-            self._push(packet.pc + 8)
-            return outcome
-
-        if not self._stack:
-            return outcome  # unchecked: deeper than the shadow stack
-        expected = self._stack.pop()
-        if packet.addr != expected:
-            outcome.trap = self.trap(
-                packet, "return-address-mismatch",
-                f"return to {packet.addr:#x}, shadow stack expects "
-                f"{expected:#x}",
-                addr=packet.addr,
-            )
-        return outcome
+        # JMPL (and any class a CFGR upset forwards): a call when it
+        # links (dest != %g0), a return when the link register is
+        # discarded.  ``load_extra_state`` replaces the stack, so it is
+        # read through the proxy on every packet.
+        def jump(packet, port):
+            if packet.dest != 0:
+                ext._push(packet.pc + 8)
+                return None
+            stack = ext._stack
+            if not stack:
+                return None  # unchecked: deeper than the shadow stack
+            expected = stack.pop()
+            if packet.addr != expected:
+                return ext.trap(
+                    packet, "return-address-mismatch",
+                    f"return to {packet.addr:#x}, shadow stack expects "
+                    f"{expected:#x}",
+                    addr=packet.addr,
+                )
+            return None
+        return 1, jump
 
     def _push(self, address: int) -> None:
         if len(self._stack) >= self.depth:

@@ -15,13 +15,18 @@ Software interface (all through the generic flex ops):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
-from repro.extensions.base import MonitorExtension, PacketOutcome
+from repro.extensions.base import MonitorExtension
 from repro.fabric.logic import LogicNetwork, Prim
 from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
-from repro.flexcore.packet import TracePacket
-from repro.isa.opcodes import MEMORY_CLASSES, FlexOpf, InstrClass
+from repro.isa.opcodes import (
+    MEMORY_CLASSES,
+    STORE_CLASSES,
+    FlexOpf,
+    InstrClass,
+)
 
 WATCH_READ = 1
 WATCH_WRITE = 2
@@ -61,36 +66,47 @@ class Watchpoints(MonitorExtension):
         config.set(InstrClass.FLEX, ForwardPolicy.ALWAYS)
         return config
 
-    def process(self, packet: TracePacket) -> PacketOutcome:
-        if packet.opcode == InstrClass.FLEX:
-            outcome = self.handle_flex(packet)
-            if packet.opf == FlexOpf.TAG_SET_MEM:
-                if len(self.ranges) >= self.slots:
-                    self.ranges.pop(0)
-                self.ranges.append(WatchRange(
-                    lo=packet.srcv1, hi=packet.srcv2,
-                    mode=self.tagval & 3,
-                ))
-            elif packet.opf == FlexOpf.TAG_CLR_MEM:
-                self.ranges = [
-                    r for r in self.ranges if r.lo != packet.srcv1
-                ]
-            return outcome
+    def build_op(self, klass):
+        # ``load_extra_state`` and a disarm replace ``ranges``, so the
+        # ops read it through the proxy on every packet.
+        ext = weakref.proxy(self)  # see MonitorExtension.build_op
+        if klass == InstrClass.FLEX:
+            def flex(packet, port):
+                ext.handle_flex(packet)
+                opf = packet.opf
+                if opf == FlexOpf.TAG_SET_MEM:
+                    ranges = ext.ranges
+                    if len(ranges) >= ext.slots:
+                        ranges.pop(0)
+                    ranges.append(WatchRange(
+                        lo=packet.srcv1, hi=packet.srcv2,
+                        mode=ext.tagval & 3,
+                    ))
+                elif opf == FlexOpf.TAG_CLR_MEM:
+                    ext.ranges = [
+                        r for r in ext.ranges if r.lo != packet.srcv1
+                    ]
+                return None
+            return 1, flex
 
-        outcome = PacketOutcome()
-        is_write = packet.is_store
-        for watch in self.ranges:
-            if watch.matches(packet.addr, is_write):
-                self.hits += 1
-                kind = "write" if is_write else "read"
-                outcome.trap = self.trap(
-                    packet, f"watchpoint-{kind}",
-                    f"{kind} of watched range "
-                    f"[{watch.lo:#x}, {watch.hi:#x}) at {packet.addr:#x}",
-                    addr=packet.addr,
-                )
-                break
-        return outcome
+        # Every other class (loads, stores, and whatever a CFGR upset
+        # forwards) is checked as an access; only stores write.
+        is_write = klass in STORE_CLASSES
+        kind = "write" if is_write else "read"
+
+        def access(packet, port):
+            addr = packet.addr
+            for watch in ext.ranges:
+                if watch.matches(addr, is_write):
+                    ext.hits += 1
+                    return ext.trap(
+                        packet, f"watchpoint-{kind}",
+                        f"{kind} of watched range "
+                        f"[{watch.lo:#x}, {watch.hi:#x}) at {addr:#x}",
+                        addr=addr,
+                    )
+            return None
+        return 1, access
 
     def status_word(self) -> int:
         return self.hits & 0xFFFFFFFF

@@ -276,8 +276,8 @@ class CampaignConfig:
     #: MDL monitor specs as ``(filename, source)`` pairs.  The sources
     #: ride along *inside* the config (not as paths) so a pickled
     #: config rebuilt in a worker process — or replayed from a journal
-    #: on another machine — compiles and registers the exact same
-    #: monitors.
+    #: on another machine — compiles the exact same monitors.  The
+    #: campaign builds its extension from them, and registers none.
     mdl: tuple[tuple[str, str], ...] = ()
     #: supervised-pool deadline per task, seconds (``None`` derives
     #: one from ``wallclock_limit``: the pool deadline must outlast
@@ -400,16 +400,18 @@ class Campaign:
         this same config), else from the golden cache, else by running
         the golden run."""
         self.config = config
-        # Registration lives here, not in the config's __post_init__:
-        # unpickling a dataclass skips __init__ entirely, but every
-        # worker process rebuilds its ``Campaign`` in
-        # ``_init_worker``, so this is the one place guaranteed to run
-        # wherever ``create_extension`` is about to be called.
+        #: the config's MDL monitors by lowercase name (a later spec
+        #: of the same name wins), which ``_build_system`` prefers to
+        #: the process-wide registry.  Compiled here and registered
+        #: nowhere, so a campaign leaves later runs in the same
+        #: process untouched; every pool worker rebuilds its
+        #: ``Campaign`` from the config, and so these programs.
+        self.mdl_programs = {}
         if config.mdl:
-            from repro.mdl import compile_spec, register_program
+            from repro.mdl import compile_spec
             for filename, spec_source in config.mdl:
-                register_program(compile_spec(spec_source, filename),
-                                 replace=True)
+                program = compile_spec(spec_source, filename)
+                self.mdl_programs[program.name.lower()] = program
         #: wall-clock phase timers for the campaign pipeline
         #: (assemble / golden-run / faulted-runs / report).  Purely
         #: diagnostic: never written into the bit-reproducible report.
@@ -479,9 +481,11 @@ class Campaign:
         )
 
     def _build_system(self) -> FlexCoreSystem:
+        name = self.config.extension
+        program = self.mdl_programs.get(name.lower())
         return FlexCoreSystem(
             self.program,
-            create_extension(self.config.extension),
+            create_extension(name) if program is None else program.create(),
             self._system_config(),
         )
 

@@ -18,7 +18,8 @@ instruction it:
 Timing is event-driven: the fabric's service schedule is computed at
 enqueue time, which is exact for an in-order, single-engine fabric.
 
-The fabric is configured once, so its service is too.
+The fabric is configured once, so its service is too: every
+extension states it as fabric ops, and
 :meth:`CoreFabricInterface.forward_tail` hands the fast engine one
 commit tail per (instruction class, access shape): ``on_commit``'s
 forwarded branch with the policy and the configuration's constants
@@ -31,7 +32,9 @@ then two calls, handler → tail → op.
 ``extension.process``, which runs the same op against a
 :class:`~repro.extensions.base.PacketOutcome`, then replays the
 recorded accesses through the same port, behind the meta-data TLB
-when that is on, and emits the tracer's events.
+when that is on, and emits the tracer's events.  Only the reference
+engine, a tracer, a meta-data TLB and a ``process`` patched on the
+instance (the ``fifo-drop`` fault) need it.
 """
 
 from __future__ import annotations
@@ -278,11 +281,11 @@ class CoreFabricInterface:
         mode and configuration folded into constants.  Runs that need
         the reference path get the same tail with :meth:`_service` in
         the op's place: a tracer (its events live there), a meta-data
-        TLB, a ``process`` that is not the op adapter (overridden, or
-        patched on the instance as the ``fifo-drop`` fault does), or
-        an extension without ops.  The tail itself emits no tracer
-        events: the fast engine only runs untraced, and metrics come
-        from the stats at run end.
+        TLB, or a ``process`` that is not the op adapter (patched on
+        the instance, as the ``fifo-drop`` fault does).  The choice is
+        made here, when the tail is built.  The tail itself emits no
+        tracer events: the fast engine only runs untraced, and metrics
+        come from the stats at run end.
 
         One tail serves every PC of a (class, op shape).  ``tails`` is
         the memo; the handler table owns it, so a table built after a

@@ -7,10 +7,10 @@ reproducible.  A monitor is written as a small declarative spec
 software-visible flex ops); one compiler front end checks it into a
 typed rule IR, and two backends consume the *same* IR:
 
-* :mod:`repro.mdl.behavioral` interprets it as a
-  :class:`~repro.extensions.base.MonitorExtension` that runs
-  unmodified on the simulator (``repro run/trace/inject``,
-  checkpointable);
+* :mod:`repro.mdl.behavioral` compiles it into a
+  :class:`~repro.extensions.base.MonitorExtension` whose fabric ops
+  run on the simulator like a hand-written monitor's (``repro
+  run/trace/inject``, checkpointable);
 * :mod:`repro.mdl.hardware` lowers it to
   :class:`~repro.fabric.logic.LogicNetwork` primitives plus the
   derived CFGR forwarding policy, feeding the Table-III area, power

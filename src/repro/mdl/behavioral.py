@@ -1,11 +1,14 @@
 """Behavioral backend: typed IR -> a runnable MonitorExtension.
 
 Each IR expression/statement compiles once into a Python closure of
-signature ``fn(monitor, packet, outcome, env)``; :meth:`process` then
-just walks the pre-compiled statement lists for the packet's class
-(or flex opf).  The semantics are bit-exact with the hand-written
-prototypes — the differential tests demand *identical* RunResult
-fingerprints, which pins down every observable:
+signature ``fn(monitor, packet, port, env)``.  The monitor then states
+its transparent operation the way every extension does, as fabric
+ops: :meth:`CompiledMonitor.build_op` puts one class's rules (or one
+flex opf's) into one op, which runs those closures with the op's
+meta-data port in place of a recorded outcome.  The semantics are
+bit-exact with the hand-written prototypes — the differential tests
+demand *identical* RunResult fingerprints, which pins down every
+observable:
 
 * each ``mem[...]`` r-value records exactly one meta-cache read at
   ``TagStore.meta_address``; a whole-tag assignment records one write
@@ -20,25 +23,26 @@ fingerprints, which pins down every observable:
 * a firing ``trap`` statement *overwrites* the packet's trap (UMC's
   double-word load can trap per word; the last faulting word wins,
   while the interface latches the first trapping packet);
+* ``cycles`` reads only constants and ``words`` (2 for LDD/STD, else
+  1), so it is evaluated once per op: an initiation interval is fixed
+  per datapath;
 * FLEX packets go through :meth:`MonitorExtension.handle_flex` first
   (base/policy/tagval latches), then any ``on flex OPF`` rules.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
-from repro.extensions.base import (
-    DEFAULT_META_BASE,
-    MonitorExtension,
-    PacketOutcome,
-)
+from repro.extensions.base import DEFAULT_META_BASE, MonitorExtension, no_op
 from repro.flexcore.cfgr import ForwardConfig, ForwardPolicy
-from repro.flexcore.packet import TracePacket
 from repro.isa.opcodes import InstrClass
 from repro.mdl import ir
 
 _EvalFn = Callable[..., int]
+
+_DOUBLE = (InstrClass.LOAD_DOUBLE, InstrClass.STORE_DOUBLE)
 
 
 # -- expression compilation ------------------------------------------------
@@ -49,116 +53,65 @@ def _compile_expr(expr: ir.ExprIR) -> _EvalFn:
 
     if isinstance(expr, ir.Const):
         value = expr.value & mask
-        return lambda mon, pkt, out, env: value
+        return lambda mon, pkt, port, env: value
 
     if isinstance(expr, ir.PacketField):
         attr = expr.attr
         if attr == "branch":  # bool on the packet, int in the IR
-            return lambda mon, pkt, out, env: int(pkt.branch)
-        return lambda mon, pkt, out, env: getattr(pkt, attr)
+            return lambda mon, pkt, port, env: int(pkt.branch)
+        return lambda mon, pkt, port, env: getattr(pkt, attr)
 
     if isinstance(expr, ir.StateField):
         name = expr.name
-        return lambda mon, pkt, out, env: getattr(mon, name)
+        return lambda mon, pkt, port, env: getattr(mon, name)
 
     if isinstance(expr, ir.ContextVar):
         name = expr.name
-        return lambda mon, pkt, out, env: env[name]
+        return lambda mon, pkt, port, env: env[name]
 
     if isinstance(expr, ir.LocalVar):
         name = expr.name
-        return lambda mon, pkt, out, env: env[name]
+        return lambda mon, pkt, port, env: env[name]
 
     if isinstance(expr, ir.MemTagRead):
         address = _compile_expr(expr.address)
         hi, lo = expr.hi, expr.lo
 
         if hi is None:
-            def read_tag(mon, pkt, out, env):
-                addr = address(mon, pkt, out, env)
+            def read_tag(mon, pkt, port, env):
+                addr = address(mon, pkt, port, env)
                 tags = mon.mem_tags
-                out.read(tags.meta_address(addr))
+                port.read(tags.meta_address(addr))
                 return tags.read(addr)
             return read_tag
 
         field_mask = (1 << (hi - lo + 1)) - 1
 
-        def read_field(mon, pkt, out, env):
-            addr = address(mon, pkt, out, env)
+        def read_field(mon, pkt, port, env):
+            addr = address(mon, pkt, port, env)
             tags = mon.mem_tags
-            out.read(tags.meta_address(addr))
+            port.read(tags.meta_address(addr))
             return (tags.read(addr) >> lo) & field_mask
         return read_field
 
     if isinstance(expr, ir.RegTagRead):
         index = _compile_expr(expr.index)
-        return (lambda mon, pkt, out, env:
-                mon.shadow.read(index(mon, pkt, out, env)))
+        return (lambda mon, pkt, port, env:
+                mon.shadow.read(index(mon, pkt, port, env)))
 
-    if isinstance(expr, ir.UnaryIR):
-        operand = _compile_expr(expr.operand)
-        if expr.op == "-":
-            return (lambda mon, pkt, out, env:
-                    (-operand(mon, pkt, out, env)) & mask)
-        if expr.op == "~":
-            return (lambda mon, pkt, out, env:
-                    (~operand(mon, pkt, out, env)) & mask)
-        return (lambda mon, pkt, out, env:
-                int(not operand(mon, pkt, out, env)))
-
-    if isinstance(expr, ir.BinaryIR):
-        left = _compile_expr(expr.left)
-        right = _compile_expr(expr.right)
-        op = expr.op
-        table: dict[str, _EvalFn] = {
-            "+": lambda m, p, o, e: (left(m, p, o, e)
-                                     + right(m, p, o, e)) & mask,
-            "-": lambda m, p, o, e: (left(m, p, o, e)
-                                     - right(m, p, o, e)) & mask,
-            "*": lambda m, p, o, e: (left(m, p, o, e)
-                                     * right(m, p, o, e)) & mask,
-            "/": lambda m, p, o, e: (left(m, p, o, e)
-                                     // right(m, p, o, e)) & mask,
-            "<<": lambda m, p, o, e: (left(m, p, o, e)
-                                      << right(m, p, o, e)) & mask,
-            ">>": lambda m, p, o, e: (left(m, p, o, e)
-                                      >> right(m, p, o, e)) & mask,
-            "&": lambda m, p, o, e: (left(m, p, o, e)
-                                     & right(m, p, o, e)) & mask,
-            "|": lambda m, p, o, e: (left(m, p, o, e)
-                                     | right(m, p, o, e)) & mask,
-            "^": lambda m, p, o, e: (left(m, p, o, e)
-                                     ^ right(m, p, o, e)) & mask,
-            "==": lambda m, p, o, e: int(left(m, p, o, e)
-                                         == right(m, p, o, e)),
-            "!=": lambda m, p, o, e: int(left(m, p, o, e)
-                                         != right(m, p, o, e)),
-            "<": lambda m, p, o, e: int(left(m, p, o, e)
-                                        < right(m, p, o, e)),
-            "<=": lambda m, p, o, e: int(left(m, p, o, e)
-                                         <= right(m, p, o, e)),
-            ">": lambda m, p, o, e: int(left(m, p, o, e)
-                                        > right(m, p, o, e)),
-            ">=": lambda m, p, o, e: int(left(m, p, o, e)
-                                         >= right(m, p, o, e)),
-            # both sides always evaluate: no short-circuit in hardware
-            "and": lambda m, p, o, e: int(bool(left(m, p, o, e))
-                                          & bool(right(m, p, o, e))),
-            "or": lambda m, p, o, e: int(bool(left(m, p, o, e))
-                                         | bool(right(m, p, o, e))),
-        }
-        return table[op]
-
-    if isinstance(expr, ir.CallIR):
-        args = [_compile_expr(a) for a in expr.args]
-        first, second = args
-        if expr.func == "max":
-            return (lambda m, p, o, e:
-                    max(first(m, p, o, e), second(m, p, o, e)))
-        return (lambda m, p, o, e:
-                min(first(m, p, o, e), second(m, p, o, e)))
-
-    raise AssertionError(f"unhandled IR expression {expr!r}")
+    fn, operands = ir.operation(expr)
+    if len(operands) == 1:
+        operand = _compile_expr(operands[0])
+        return (lambda mon, pkt, port, env:
+                fn(operand(mon, pkt, port, env)) & mask)
+    left, right = map(_compile_expr, operands)
+    if isinstance(operands[1], ir.Const):  # e.g. ``t & 0xF``: bind it
+        value = right(None, None, None, None)
+        return (lambda mon, pkt, port, env:
+                fn(left(mon, pkt, port, env), value) & mask)
+    return (lambda mon, pkt, port, env:
+            fn(left(mon, pkt, port, env), right(mon, pkt, port, env))
+            & mask)
 
 
 # -- statement compilation -------------------------------------------------
@@ -169,8 +122,8 @@ def _compile_stmt(stmt: ir.StmtIR) -> _EvalFn:
         value = _compile_expr(stmt.value)
         name = stmt.name
 
-        def run_let(mon, pkt, out, env):
-            env[name] = value(mon, pkt, out, env)
+        def run_let(mon, pkt, port, env):
+            env[name] = value(mon, pkt, port, env)
         return run_let
 
     if isinstance(stmt, ir.MemTagWrite):
@@ -179,22 +132,22 @@ def _compile_stmt(stmt: ir.StmtIR) -> _EvalFn:
         hi, lo = stmt.hi, stmt.lo
 
         if hi is None:
-            def run_write(mon, pkt, out, env):
-                addr = address(mon, pkt, out, env)
+            def run_write(mon, pkt, port, env):
+                addr = address(mon, pkt, port, env)
                 tags = mon.mem_tags
-                tags.write(addr, value(mon, pkt, out, env))
-                out.write(tags.meta_address(addr),
-                          tags.write_mask(addr))
+                tags.write(addr, value(mon, pkt, port, env))
+                port.write(tags.meta_address(addr),
+                           tags.write_mask(addr))
             return run_write
 
         field_mask = (1 << (hi - lo + 1)) - 1
         keep_mask = ~(field_mask << lo)
 
-        def run_field_write(mon, pkt, out, env):
-            addr = address(mon, pkt, out, env)
+        def run_field_write(mon, pkt, port, env):
+            addr = address(mon, pkt, port, env)
             tags = mon.mem_tags
             merged = ((tags.read(addr) & keep_mask)
-                      | ((value(mon, pkt, out, env) & field_mask)
+                      | ((value(mon, pkt, port, env) & field_mask)
                          << lo))
             tags.write(addr, merged)
             # Bit-granular masked write of just this field's lanes
@@ -202,16 +155,16 @@ def _compile_stmt(stmt: ir.StmtIR) -> _EvalFn:
             slot = (addr >> 2) % (32 // tags.tag_bits)
             write_mask = ((field_mask << lo)
                           << (slot * tags.tag_bits)) & 0xFFFFFFFF
-            out.write(tags.meta_address(addr), write_mask)
+            port.write(tags.meta_address(addr), write_mask)
         return run_field_write
 
     if isinstance(stmt, ir.RegTagWrite):
         index = _compile_expr(stmt.index)
         value = _compile_expr(stmt.value)
 
-        def run_reg_write(mon, pkt, out, env):
-            mon.shadow.write(index(mon, pkt, out, env),
-                             value(mon, pkt, out, env))
+        def run_reg_write(mon, pkt, port, env):
+            mon.shadow.write(index(mon, pkt, port, env),
+                             value(mon, pkt, port, env))
         return run_reg_write
 
     if isinstance(stmt, ir.TrapIR):
@@ -225,27 +178,45 @@ def _compile_stmt(stmt: ir.StmtIR) -> _EvalFn:
             for part in stmt.template
         ]
 
-        def run_trap(mon, pkt, out, env):
-            if not condition(mon, pkt, out, env):
-                return
+        def run_trap(mon, pkt, port, env):
+            if not condition(mon, pkt, port, env):
+                return None
             message = "".join(
                 part if isinstance(part, str)
-                else format(part[0](mon, pkt, out, env), part[1])
+                else format(part[0](mon, pkt, port, env), part[1])
                 for part in parts
             )
-            addr = (address(mon, pkt, out, env)
+            addr = (address(mon, pkt, port, env)
                     if address is not None else 0)
-            out.trap = mon.trap(pkt, kind, message, addr=addr)
+            return mon.trap(pkt, kind, message, addr=addr)
         return run_trap
 
-    if isinstance(stmt, ir.CyclesIR):
-        value = _compile_expr(stmt.value)
-
-        def run_cycles(mon, pkt, out, env):
-            out.fabric_cycles = int(value(mon, pkt, out, env))
-        return run_cycles
-
     raise AssertionError(f"unhandled IR statement {stmt!r}")
+
+
+def _compile_rule(rule: ir.RuleIR):
+    """``(foreach_word, stmts, cycles)``: the rule's statements, each
+    compiled to return the trap it fires (or None), and its ``cycles``
+    values, which read only constants and ``words``."""
+    stmts = [_compile_stmt(s) for s in rule.body
+             if not isinstance(s, ir.CyclesIR)]
+    cycles = [_compile_expr(s.value) for s in rule.body
+              if isinstance(s, ir.CyclesIR)]
+    return rule.foreach_word, stmts, cycles
+
+
+def _contexts(foreach: bool, flex: bool, words: int):
+    """``contexts(packet)``: the context variables of each run of one
+    rule on a packet — one run per word of a ``foreach word`` rule,
+    else one."""
+    if flex:
+        return lambda packet: (
+            {"flexaddr": (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF},)
+    if not foreach:
+        return lambda packet: ({},)
+    offsets = range(0, 4 * words, 4)
+    return lambda packet: [{"word": packet.addr + offset, "words": words}
+                           for offset in offsets]
 
 
 # -- the compiled extension ------------------------------------------------
@@ -262,15 +233,16 @@ class MonitorProgram:
         self.ir = monitor_ir
         self.source = source
         self.filename = filename
+        #: class / flex opf -> its rules, in spec order, as
+        #: ``(foreach_word, stmts, cycles)`` (see :func:`_compile_rule`).
         self.by_class: dict[InstrClass, list] = {}
         self.by_opf: dict[int, list] = {}
         for rule in monitor_ir.rules:
-            body = [_compile_stmt(s) for s in rule.body]
+            compiled = _compile_rule(rule)
             for cls in rule.classes:
-                self.by_class.setdefault(cls, []).append(
-                    (rule.foreach_word, body))
+                self.by_class.setdefault(cls, []).append(compiled)
             for opf in rule.flex_opfs:
-                self.by_opf.setdefault(opf, []).append(body)
+                self.by_opf.setdefault(opf, []).append(compiled)
 
     @property
     def name(self) -> str:
@@ -298,7 +270,7 @@ class CompiledMonitor(MonitorExtension):
     """A MonitorExtension interpreted from compiled MDL rules.
 
     Behaves exactly like a hand-written subclass: same construction
-    and attach/forward/process/hardware protocol, checkpointable via
+    and attach/forward/op/hardware protocol, checkpointable via
     the inherited snapshot machinery (all its state lives in the base
     class: tag store, shadow file, latches)."""
 
@@ -331,33 +303,43 @@ class CompiledMonitor(MonitorExtension):
                 tags.fill_range(program.data_base,
                                 len(program.data), value)
 
-    def process(self, packet: TracePacket) -> PacketOutcome:
-        if packet.opcode == InstrClass.FLEX:
-            outcome = self.handle_flex(packet)
-            bodies = self.program.by_opf.get(packet.opf)
-            if bodies:
-                flexaddr = (packet.srcv1 + packet.srcv2) & 0xFFFFFFFF
-                for body in bodies:
-                    env = {"flexaddr": flexaddr}
-                    for stmt in body:
-                        stmt(self, packet, outcome, env)
-            return outcome
+    def op_shape(self, klass, inst):
+        """Flex rules are keyed by opf, so a FLEX op is keyed by class
+        and the opf field of INST (bits 13:5); any other by class."""
+        if klass == InstrClass.FLEX:
+            return klass, (inst >> 5) & 0x1FF
+        return klass
 
-        outcome = PacketOutcome()
-        for foreach, body in self.program.by_class.get(
-                packet.opcode, ()):
-            if foreach:
-                words = max(1, (packet.access_size or 4) // 4)
-                base = packet.addr
-                for index in range(words):
-                    env = {"word": base + 4 * index, "words": words}
-                    for stmt in body:
-                        stmt(self, packet, outcome, env)
-            else:
-                env: dict = {}
-                for stmt in body:
-                    stmt(self, packet, outcome, env)
-        return outcome
+    def build_op(self, shape):
+        """One op per class (or FLEX opf) from that class's rules, in
+        spec order.  ``words`` is static per class and ``cycles``
+        reads only constants and ``words``, so the initiation interval
+        is evaluated here, once; the last ``cycles`` statement wins."""
+        mon = weakref.proxy(self)  # see MonitorExtension.build_op
+        flex = isinstance(shape, tuple)
+        program = self.program
+        rules = (program.by_opf.get(shape[1], ()) if flex
+                 else program.by_class.get(shape, ()))
+        words = 2 if shape in _DOUBLE else 1
+        cycles = 1
+        for _, _, values in rules:
+            for value in values:
+                cycles = int(value(None, None, None, {"words": words}))
+        plan = [(stmts, _contexts(foreach, flex, words))
+                for foreach, stmts, _ in rules]
+
+        def op(packet, port):
+            if flex:
+                mon.handle_flex(packet)
+            trap = None
+            for stmts, contexts in plan:
+                for env in contexts(packet):
+                    for stmt in stmts:
+                        fired = stmt(mon, packet, port, env)
+                        if fired is not None:
+                            trap = fired
+            return trap
+        return cycles, (op if plan or flex else no_op)
 
     def hardware(self):
         return self.program.hardware()

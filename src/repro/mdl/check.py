@@ -13,7 +13,9 @@ every problem.  The checks:
   never forwards;
 * context misuse — ``word``/``words`` outside ``foreach word``,
   ``flexaddr`` outside a ``flex`` rule, ``mem[]``/``reg[]`` on a
-  monitor that declares no such meta-data.
+  monitor that declares no such meta-data;
+* a ``cycles`` value that reads anything but constants and ``words``
+  (the initiation interval is fixed per datapath).
 
 Width semantics are the fabric's: arithmetic wraps at the operand
 width (``max`` of the two sides, capped at 32), ``&`` with a constant
@@ -334,7 +336,13 @@ class Checker:
         if isinstance(stmt, ast.Trap):
             return self._check_trap(stmt, ctx)
         if isinstance(stmt, ast.Cycles):
-            return ir.CyclesIR(self._check_expr(stmt.value, ctx))
+            value = self._check_expr(stmt.value, ctx)
+            if not _reads_only_words(value):
+                self.sink.error(
+                    stmt.value.location,
+                    "'cycles' may read only constants and 'words': "
+                    "the initiation interval is fixed per datapath")
+            return ir.CyclesIR(value)
         raise AssertionError(f"unhandled statement {stmt!r}")
 
     def _check_value_fits(self, value: ir.ExprIR, width: int,
@@ -648,69 +656,31 @@ class Checker:
                          func=expr.func, args=args)
 
 
+def _reads_only_words(expr: ir.ExprIR) -> bool:
+    """True when ``expr`` reads nothing but constants and ``words``."""
+    if isinstance(expr, ir.ContextVar):
+        return expr.name == "words"
+    operation = ir.operation(expr)
+    if operation is not None:
+        return all(map(_reads_only_words, operation[1]))
+    return isinstance(expr, ir.Const)
+
+
 def _fold(expr: ir.ExprIR) -> int | None:
     """Constant-fold an IR expression; None if it depends on runtime
-    state.  Uses the same wrap-at-width semantics as the interpreter
-    so 'always false' judgements are exact."""
+    state.  Uses the interpreter's operator tables and wrap-at-width
+    semantics, so 'always false' judgements are exact."""
     mask = (1 << expr.width) - 1
     if isinstance(expr, ir.Const):
         return expr.value & mask
-    if isinstance(expr, ir.UnaryIR):
-        value = _fold(expr.operand)
-        if value is None:
-            return None
-        if expr.op == "-":
-            return (-value) & mask
-        if expr.op == "~":
-            return (~value) & mask
-        return int(not value)
-    if isinstance(expr, ir.BinaryIR):
-        left = _fold(expr.left)
-        right = _fold(expr.right)
-        if left is None or right is None:
-            return None
-        op = expr.op
-        if op == "and":
-            return int(bool(left) and bool(right))
-        if op == "or":
-            return int(bool(left) or bool(right))
-        if op == "==":
-            return int(left == right)
-        if op == "!=":
-            return int(left != right)
-        if op == "<":
-            return int(left < right)
-        if op == "<=":
-            return int(left <= right)
-        if op == ">":
-            return int(left > right)
-        if op == ">=":
-            return int(left >= right)
-        if op == "+":
-            return (left + right) & mask
-        if op == "-":
-            return (left - right) & mask
-        if op == "*":
-            return (left * right) & mask
-        if op == "/":
-            return (left // right) & mask
-        if op == "<<":
-            return (left << right) & mask
-        if op == ">>":
-            return (left >> right) & mask
-        if op == "&":
-            return (left & right) & mask
-        if op == "|":
-            return (left | right) & mask
-        if op == "^":
-            return (left ^ right) & mask
-    if isinstance(expr, ir.CallIR):
-        values = [_fold(a) for a in expr.args]
-        if any(v is None for v in values):
-            return None
-        return (max(values) if expr.func == "max"
-                else min(values)) & mask
-    return None
+    operation = ir.operation(expr)
+    if operation is None:
+        return None
+    fn, operands = operation
+    values = [_fold(operand) for operand in operands]
+    if None in values:
+        return None
+    return fn(*values) & mask
 
 
 def check_spec(spec: ast.Spec,

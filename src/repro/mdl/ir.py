@@ -12,6 +12,7 @@ meaningful: one IR, two executions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from repro.isa.opcodes import InstrClass
@@ -120,6 +121,37 @@ class UnaryIR(ExprIR):
 class CallIR(ExprIR):
     func: str  # "max" | "min"
     args: tuple[ExprIR, ...]
+
+
+#: What each operator computes from its operands' values, before the
+#: result wraps to the node's width.  Comparisons, ``not``, ``and`` and
+#: ``or`` are 1 bit wide, so their bools wrap to 0/1; ``and``/``or``
+#: take both sides' values (hardware has no short-circuit, and
+#: skipping a side could skip its meta-cache read).  The checker's
+#: constant folding and the behavioral backend share these tables.
+UNARY_OPS = {"-": operator.neg, "~": operator.invert, "not": operator.not_}
+BINARY_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.floordiv, "<<": operator.lshift, ">>": operator.rshift,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "and": lambda left, right: bool(left) & bool(right),
+    "or": lambda left, right: bool(left) | bool(right),
+    "max": max, "min": min,
+}
+
+
+def operation(expr: ExprIR):
+    """``(fn, operands)`` of a unary, binary or call node, whose value
+    is ``fn(*operand values)`` wrapped to its width; None for a leaf."""
+    if isinstance(expr, UnaryIR):
+        return UNARY_OPS[expr.op], (expr.operand,)
+    if isinstance(expr, BinaryIR):
+        return BINARY_OPS[expr.op], (expr.left, expr.right)
+    if isinstance(expr, CallIR):
+        return BINARY_OPS[expr.func], expr.args
+    return None
 
 
 # -- statements ------------------------------------------------------------

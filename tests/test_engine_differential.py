@@ -17,7 +17,8 @@ the loop control:
   sometimes forwarding every class, each spilling its registers to
   memory;
 * the full paper matrix — six workloads under every shipped extension
-  including the MDL-compiled specs — at the experiment configuration;
+  including the two extra monitors and the MDL-compiled specs — at
+  the experiment configuration;
 * mid-run checkpoint/restore and rollback recovery, including
   restoring a fast-engine snapshot into a reference run, and the
   run loop's rollback span under a tracer;
@@ -30,10 +31,11 @@ the loop control:
   forwarded branches and calls;
 * the fault models that run on the fast engine (``fifo-drop`` and
   ``lut-config``), one armed fault each;
-* what the fast engine's forward tails run: the paper monitors'
-  fabric ops for every fused class (RDY, WRY and JMPL included), the
-  reference ``_service`` under a tracer, a meta-data TLB, an armed
-  ``fifo-drop`` or an MDL monitor;
+* what the fast engine's forward tails run: every monitor's fabric
+  ops for every fused class (the paper monitors' for RDY, WRY and
+  JMPL too, the MDL specs', the shadow stack's and the watchpoints',
+  and a CFGR upset's extra class), and the reference ``_service``
+  under a tracer, a meta-data TLB or an armed ``fifo-drop``;
 * a directed ``wr %g1, %l0, %y`` right after a load into %l0: one
   load-use interlock and SRC2 = phys(%l0) on both engines.
 """
@@ -47,7 +49,11 @@ from repro.evaluation.config import (
     FLEXCORE_RATIOS,
     experiment_system_config,
 )
-from repro.extensions import EXTENSION_NAMES, create_extension
+from repro.extensions import (
+    EXTENSION_NAMES,
+    EXTRA_EXTENSION_NAMES,
+    create_extension,
+)
 from repro.faultinject.models import FaultSpec, create_model
 from repro.flexcore.cfgr import ForwardPolicy
 from repro.flexcore.packet import TracePacket
@@ -80,7 +86,7 @@ REGS = ["%g1", "%g2", "%g3", "%o0", "%o1", "%o2", "%l0", "%l1",
 
 #: extension specs; "mdl:<name>" instantiates a shipped MDL spec.
 MATRIX_EXTENSIONS = (
-    (None,) + tuple(EXTENSION_NAMES)
+    (None,) + tuple(EXTENSION_NAMES) + tuple(EXTRA_EXTENSION_NAMES)
     + tuple(f"mdl:{name}" for name in sorted(shipped_specs()))
 )
 
@@ -663,7 +669,7 @@ def _configured_system(program, extension, overrides=(), tweak=None):
     config = experiment_system_config(clock_ratio=_fabric_ratio(extension))
     for name, value in dict(overrides).items():
         setattr(config.interface, name, value)
-    system = FlexCoreSystem(program, create_extension(extension), config)
+    system = FlexCoreSystem(program, _make_extension(extension), config)
     if tweak is not None:
         tweak(system)
     return system
@@ -833,12 +839,25 @@ def _arm_fifo_drop(system):
         system, FaultSpec.make("fifo-drop", index=500))
 
 
+#: Monitors beyond the paper's four hand-written ones: their fused
+#: classes reach their ops too.
+OTHER_MONITORS = (tuple(f"mdl:{name}" for name in sorted(shipped_specs()))
+                  + tuple(EXTRA_EXTENSION_NAMES))
+
+
+@pytest.mark.parametrize("extension", OTHER_MONITORS)
+def test_mdl_and_extra_monitors_run_specialised_services(extension):
+    program = build_workload("sha", 0.125).build()
+    fused = _assert_fused_classes_specialised(extension, program)
+    if extension == "shadowstack":
+        assert {InstrClass.CALL, InstrClass.JMPL} <= fused
+
+
 #: name -> (extension, InterfaceConfig overrides, system tweak): each
 #: run must keep every forwarded packet on the reference ``_service``.
 GENERIC_PATH_RUNS = {
     "meta-tlb-4": ("dift", {"meta_tlb_entries": 4}, None),
     "fifo-drop": ("dift", {}, _arm_fifo_drop),
-    "mdl-umc": ("mdl:umc", {}, None),
 }
 
 
@@ -879,27 +898,42 @@ def test_tracer_keeps_the_reference_service():
     assert result.engine == "reference"
 
 
-def test_branch_upset_to_dift_runs_specialised():
-    """A CFGR upset that forwards branches (best effort) to DIFT: the
-    fast engine serves them with DIFT's op for the class, and the run
-    stays identical to the reference."""
-    spec = FaultSpec.make("lut-config", bit=2 * int(InstrClass.BRANCH))
+def _assert_upset_runs_specialised(extension, klass):
+    """A CFGR upset that forwards ``klass`` (best effort) to
+    ``extension``: the fast engine serves it with the monitor's op for
+    the class, and the run stays identical to the reference."""
+    spec = FaultSpec.make("lut-config", bit=2 * int(klass))
     program = build_workload("bitcount", 0.125).build()
     runs = {}
     for engine in ENGINES:
-        system = _configured_system(program, "dift")
+        system = _configured_system(program, extension)
         create_model("lut-config").arm(system, spec)
-        assert (system.interface.cfgr.policy(InstrClass.BRANCH)
+        assert (system.interface.cfgr.policy(klass)
                 == ForwardPolicy.BEST_EFFORT)
         installed, reached = _probe_services(system)
         runs[engine] = system.run_bounded(engine=engine)
         if engine == "fast":
-            assert InstrClass.BRANCH in installed
-            assert InstrClass.BRANCH not in reached
+            assert klass in installed
+            assert klass not in reached
     forwarded = runs["reference"].interface_stats.forwarded_by_class
-    assert forwarded.get(InstrClass.BRANCH, 0) > 0
+    assert forwarded.get(klass, 0) > 0
     for engine in FUSED_ENGINES:
         _assert_identical(runs["reference"], runs[engine])
+    return runs["reference"]
+
+
+def test_branch_upset_to_dift_runs_specialised():
+    _assert_upset_runs_specialised("dift", InstrClass.BRANCH)
+
+
+def test_arith_sub_upset_to_shadow_stack_runs_specialised():
+    """Any non-CALL, non-FLEX class the shadow stack receives takes its
+    JMPL branch: a ``sub`` with a destination pushes, and a ``cmp``
+    (``subcc`` into %g0) pops and checks."""
+    result = _assert_upset_runs_specialised("shadowstack",
+                                            InstrClass.ARITH_SUB)
+    assert result.trap is not None
+    assert result.trap.kind == "return-address-mismatch"
 
 
 # ---------------------------------------------------------------------------

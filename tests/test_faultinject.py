@@ -235,8 +235,9 @@ class TestCampaignRuns:
         assert first.to_json() != second.to_json()
 
     def test_parallel_matches_serial(self):
+        # Three batches of two: one batch would run in-process.
         serial = umc_campaign(faults=6).run()
-        parallel = umc_campaign(faults=6, jobs=2).run()
+        parallel = umc_campaign(faults=6, jobs=2, batch_size=2).run()
         assert serial.to_json() == parallel.to_json()
 
     @pytest.mark.parametrize("fallback", ["auto", "force"])
@@ -382,7 +383,7 @@ class TestMdlMonitors:
 
     def _config(self, **overrides):
         from repro.extensions import unregister_extension
-        unregister_extension("redzone")  # config must self-register
+        unregister_extension("redzone")  # the campaign needs no registry
         defaults = dict(
             extension="redzone",
             source=SOURCE,
@@ -419,8 +420,10 @@ class TestMdlMonitors:
         assert len(report.results) == 3
 
     def test_campaign_runs_parallel_and_matches_serial(self):
+        # One fault per batch, so the pool starts and each worker
+        # builds the monitor from the config alone.
         serial = Campaign(self._config()).run()
-        parallel = Campaign(self._config(jobs=2)).run()
+        parallel = Campaign(self._config(jobs=2, batch_size=1)).run()
         assert ([r.as_dict() for r in serial.results]
                 == [r.as_dict() for r in parallel.results])
 
@@ -428,8 +431,24 @@ class TestMdlMonitors:
         config = self._config()
         clone = pickle.loads(pickle.dumps(config))
         assert clone.mdl == config.mdl
-        # Rebuilding the campaign from the clone must re-register.
-        from repro.extensions import unregister_extension
-        unregister_extension("redzone")
+        # Rebuilding the campaign from the clone rebuilds the monitor.
         report = Campaign(clone).run()
         assert len(report.results) == 3
+
+    def test_campaign_registers_nothing(self):
+        # An ``inject`` job in a long-lived process (the job service)
+        # must not turn later runs' built-in ``bc`` into its MDL one.
+        from repro.extensions import (
+            ArrayBoundCheck,
+            create_extension,
+            extension_names,
+        )
+        from repro.mdl import SHIPPED_SPEC_DIR, CompiledMonitor
+        source = (SHIPPED_SPEC_DIR / "bc.mdl").read_text()
+        spec = ("bc.mdl", source.replace("cycles 2", "cycles 6"))
+        campaign = Campaign(self._config(extension="bc", mdl=(spec,)))
+        assert isinstance(campaign._build_system().extension,
+                          CompiledMonitor)
+        assert isinstance(create_extension("bc"), ArrayBoundCheck)
+        Campaign(self._config())
+        assert "redzone" not in extension_names()

@@ -283,6 +283,22 @@ on load {
 """)
         assert len(diags) >= 2
 
+    def test_cycles_reads_only_constants_and_words(self):
+        source = """
+monitor m "d"
+meta { memory_tag_bits = 1 }
+on store foreach word {
+    let t = mem[word]
+    mem[word] = 1
+    cycles max(words, t + 1)
+}
+"""
+        [diag] = errors_of(source)
+        assert "'cycles' may read only constants and 'words'" in diag.message
+        assert (diag.location.line, diag.location.column) == (7, 12)
+        # Constants and `words` alone, in any arithmetic, still compile.
+        compile_spec(source.replace("t + 1", "2 * words - 1"), "<t>")
+
     def test_bad_template_format_spec(self):
         msgs = messages_of("""
 monitor m "d"

@@ -27,7 +27,6 @@ from repro.checkpoint import (
     unpack_state,
     write_container,
 )
-from repro.extensions import unregister_extension
 from repro.faultinject import (
     Campaign,
     CampaignConfig,
@@ -378,7 +377,7 @@ class TestGoldenCache:
 
     def test_mdl_monitor_under_a_builtin_name_keys_its_own_entry(
             self, tmp_path):
-        # An MDL spec that registers a slower ``bc`` writes the cache
+        # An MDL spec that defines a slower ``bc`` writes the cache
         # for ``--extension bc``; the hand-written bc campaign sharing
         # the cache directory must miss that entry, not take its
         # profile, and report exactly what it reports uncached.
@@ -389,10 +388,7 @@ class TestGoldenCache:
                         scale=0.03125, faults=30, seed=1)
         uncached = Campaign(CampaignConfig(**settings)).run().to_json()
         cached = CampaignConfig(**settings, cache_dir=str(tmp_path))
-        try:
-            mdl = Campaign(replace(cached, mdl=(spec,)))
-        finally:
-            unregister_extension("bc")  # as a fresh process would start
+        mdl = Campaign(replace(cached, mdl=(spec,)))
         handwritten = Campaign(cached)
         assert handwritten.profile != mdl.profile
         assert handwritten.run().to_json() == uncached
