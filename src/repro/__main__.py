@@ -291,7 +291,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
             fifo_depth=args.fifo,
             jobs=args.jobs,
             warm_start=not args.no_warm_start,
-            batch_size=args.batch_size,
             checkpoint_every=args.checkpoint_every,
             recover=args.recover,
             cache_dir=args.cache_dir,
@@ -1104,11 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
              "forking from the golden run's landmark states or "
              "deciding CFGR upsets of never-committed classes from "
              "the golden profile",
-    )
-    inject_cmd.add_argument(
-        "--batch-size", type=int, default=8, metavar="N",
-        help="faults per lockstep worker dispatch when parallel "
-             "(scheduling only; results stream back per fault)",
     )
     inject_cmd.add_argument("--json", default=None, metavar="PATH",
                             help="also write the JSON report here")

@@ -19,18 +19,14 @@ Retry granularity (the old ``chunksize=8`` bug)
 The previous ``Pool.imap_unordered`` fan-out shipped items in chunks
 of 8, so one crashed worker lost up to 8 unrelated items and the only
 "retry" was aborting the run.  The supervised pool always dispatches
-exactly one item per worker: marginally more IPC (one pickled item +
-one pickled result per task, ~100 us), but every item here is a whole
-simulation (milliseconds to minutes), so the overhead is noise and in
-exchange a worker death costs exactly one in-flight attempt — the
-natural granularity for retries, deadlines and quarantine.  Callers
-that fan out truly tiny items batch them *inside* the item as a
-streaming composite (lockstep fault batches in
-:meth:`repro.faultinject.campaign.Campaign._run_parallel`): the
-worker function returns a generator, each yielded member result is
-recorded the moment it exists, and the ``shrink``/``explode`` hooks
-keep retry granularity at one member — unlike a pool chunksize the
-supervisor cannot see into.
+exactly one item per worker and gets exactly one result back: one
+pickled item and one pickled result per task, ~100 us, noise beside
+an item that is a whole simulation (milliseconds to minutes).  In
+exchange a worker death costs exactly one in-flight item, the natural
+granularity for retries, deadlines and quarantine.  A campaign's item
+is one fault index: everything a fault could share with its
+neighbours (the golden profile, the decode memo) already lives in the
+persistent worker process.
 
 The interruption contract matches the original behaviour: workers
 ignore SIGINT (only the parent reacts to Ctrl-C, after the in-flight
@@ -40,7 +36,6 @@ reaping ends them silently.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import signal
 import sys
@@ -186,7 +181,7 @@ class WorkerFleet:
 
 
 def _run_serial(items, worker, record, initializer, initargs,
-                on_quarantine, stats: PoolStats, shrink=None) -> None:
+                on_quarantine, stats: PoolStats) -> None:
     """In-process execution of ``items`` (jobs=1 and fallback path).
 
     No deadlines here — a single process cannot preempt itself — so
@@ -194,40 +189,19 @@ def _run_serial(items, worker, record, initializer, initargs,
     is the right trade once the pool has already proven unusable.
     Worker exceptions are deterministic in-process: they quarantine
     immediately (no retries) or propagate when there is no handler.
-    A streaming worker (one returning a generator, i.e. a lockstep
-    batch) records each yielded member as it completes; an exception
-    mid-stream quarantines only the ``shrink``-narrowed remainder, so
-    serial and pooled runs agree on which members produced results.
     """
     if initializer is not None:
         initializer(*initargs)
-
-    def quarantine(item, err) -> None:
-        if on_quarantine is None:
-            raise err
-        stats.quarantined += 1
-        on_quarantine(item, Quarantined(item, 1, err))
-
     for item in items:
         try:
             result = worker(item)
         except Exception as err:  # noqa: BLE001 — quarantine boundary
-            quarantine(item, err)
+            if on_quarantine is None:
+                raise
+            stats.quarantined += 1
+            on_quarantine(item, Quarantined(item, 1, err))
             continue
-        if not inspect.isgenerator(result):
-            record(result)
-            continue
-        while True:
-            try:
-                part = next(result)
-            except StopIteration:
-                break
-            except Exception as err:  # noqa: BLE001 — see above
-                quarantine(item, err)
-                break
-            record(part)
-            if shrink is not None:
-                item = shrink(item, part)
+        record(result)
 
 
 def fan_out(
@@ -241,8 +215,6 @@ def fan_out(
     policy: PoolPolicy | None = None,
     on_quarantine=None,
     warn=None,
-    shrink=None,
-    explode=None,
 ) -> PoolStats:
     """Stream ``worker(item)`` results for every item to ``record``.
 
@@ -260,12 +232,6 @@ def fan_out(
     as a unit and ``policy.fallback`` is ``"auto"``, the remaining
     items run serially in-process after a ``warn(message)`` call.
 
-    Composite items that stream (worker returns a generator) take two
-    extra hooks: ``shrink(item, part) -> item`` drops the member a
-    just-recorded part belongs to, and ``explode(item) -> [items]``
-    splits a failed item's remainder into independently retried
-    sub-items.  See :meth:`SupervisedPool.run` for the semantics.
-
     Returns the run's :class:`PoolStats` (all zeros on a healthy run).
     """
     policy = policy or PoolPolicy()
@@ -279,13 +245,12 @@ def fan_out(
             stats.degraded = True
             warn("pool: serial execution forced (fallback=force)")
         _run_serial(items, worker, record, initializer, initargs,
-                    on_quarantine, stats, shrink=shrink)
+                    on_quarantine, stats)
         return stats
     pool = SupervisedPool(jobs, policy, stats)
     try:
         pool.run(items, worker, record, initializer=initializer,
-                 initargs=initargs, on_quarantine=on_quarantine,
-                 shrink=shrink, explode=explode)
+                 initargs=initargs, on_quarantine=on_quarantine)
     except Quarantined:
         raise
     except PoolError as err:
@@ -297,5 +262,5 @@ def fan_out(
             f"{len(err.pending)} remaining item(s) — {err}"
         )
         _run_serial(err.pending, worker, record, initializer,
-                    initargs, on_quarantine, stats, shrink=shrink)
+                    initargs, on_quarantine, stats)
     return stats

@@ -14,23 +14,18 @@ Mechanics
 * One in-flight task per worker, dispatched over a dedicated pipe, so
   the parent always knows exactly which item a dead worker was
   holding (this is why there is no ``chunksize``: retry granularity
-  is one task — see :mod:`repro.engine.pool` for the tradeoff).
-* Workers acknowledge start-up (``ready``) and stream back ``ok`` /
-  ``err`` messages; the pipe doubles as the liveness heartbeat — a
-  dead worker's pipe reads EOF, waking the supervisor immediately
-  instead of at the next poll.
-* A worker function returning a *generator* streams a composite item
-  (a lockstep fault batch) as per-member ``part`` messages followed by
-  ``done``: the parent records each part immediately, narrows the
-  in-flight item via the caller's ``shrink`` hook, and renews the hang
-  deadline on every part.  A failure mid-stream therefore requeues
-  only the unfinished remainder, split by the caller's ``explode``
-  hook into sub-tasks that retry independently.
+  is one item — see :mod:`repro.engine.pool` for the tradeoff).
+* Workers acknowledge start-up (``ready``) and answer every task with
+  exactly one ``ok`` or ``err`` message; the pipe doubles as the
+  liveness heartbeat — a dead worker's pipe reads EOF, waking the
+  supervisor immediately instead of at the next poll
+  (:data:`POLL_INTERVAL`).
 * Every dispatch starts a deadline (:attr:`PoolPolicy.task_timeout`).
   A worker that overruns it is presumed hung, SIGKILLed, and its task
   requeued.
 * A failed task (worker death, deadline, or an exception escaping the
-  worker function) is retried with exponential backoff, at most
+  worker function) is retried with exponential backoff
+  (:data:`BACKOFF_BASE` doubling up to :data:`BACKOFF_CAP`), at most
   :attr:`PoolPolicy.max_retries` times, against a per-run retry
   budget.
 * A task that keeps killing its workers is **quarantined**: handed to
@@ -48,7 +43,6 @@ worker function, the result recorder, and the quarantine handler.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import signal
@@ -58,6 +52,14 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 
 from repro.util.rng import derive_fraction
+
+#: exponential-backoff schedule for retries and respawns:
+#: ``BACKOFF_BASE * 2**n`` seconds, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: supervision poll interval, seconds.  Liveness is event-driven
+#: (pipe EOF); this only bounds deadline-check latency.
+POLL_INTERVAL = 0.2
 
 
 def deterministic_backoff(base: float, cap: float, attempt: int,
@@ -132,18 +134,11 @@ class PoolPolicy:
     #: ``max(16, items // 4)``).  Exhausting it means the environment,
     #: not a task, is broken — the pool gives up as a unit.
     retry_budget: int | None = None
-    #: exponential-backoff schedule for retries and respawns:
-    #: ``base * 2**n`` seconds, capped.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
     #: what :func:`repro.engine.pool.fan_out` does when the pool is
     #: irrecoverable: ``auto`` degrades to in-process serial execution
     #: with a warning, ``never`` re-raises, ``force`` skips the pool
     #: entirely (useful where multiprocessing is unreliable).
     fallback: str = "auto"
-    #: supervision poll interval, seconds.  Liveness is event-driven
-    #: (pipe EOF); this only bounds deadline-check latency.
-    poll_interval: float = 0.2
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -164,8 +159,8 @@ class PoolPolicy:
     def backoff_delay(self, attempt: int, key: object = "") -> float:
         """The deterministic retry delay for ``(key, attempt)`` —
         see :func:`deterministic_backoff`."""
-        return deterministic_backoff(self.backoff_base,
-                                     self.backoff_cap, attempt, key)
+        return deterministic_backoff(BACKOFF_BASE, BACKOFF_CAP,
+                                     attempt, key)
 
 
 @dataclass
@@ -237,13 +232,8 @@ def _get_context():
 def _worker_main(conn, worker, initializer, initargs) -> None:
     """Worker process body: init, ack, then serve tasks until EOF.
 
-    A ``worker(item)`` returning a *generator* streams: each yielded
-    value goes back as its own ``("part", task_id, value)`` message
-    the moment it exists, followed by a bare ``("done", task_id)``.
-    The parent records parts immediately and (via its ``shrink`` hook)
-    narrows the in-flight item, so a death or deadline mid-stream
-    requeues only the unfinished remainder — the lockstep-batching
-    contract.
+    Every task is answered with exactly one ``("ok", task_id, result)``
+    or ``("err", task_id, message)``.
     """
     # Parent owns interruption (same contract as the old pool): a
     # terminal-wide SIGINT must not kill workers mid-result, and
@@ -272,13 +262,7 @@ def _worker_main(conn, worker, initializer, initargs) -> None:
             return
         task_id, item = task
         try:
-            result = worker(item)
-            if inspect.isgenerator(result):
-                for part in result:
-                    conn.send(("part", task_id, part))
-                message = ("done", task_id)
-            else:
-                message = ("ok", task_id, result)
+            message = ("ok", task_id, worker(item))
         except OSError:
             return
         except BaseException as err:  # noqa: BLE001 — crosses a process
@@ -295,7 +279,6 @@ class _Task:
     item: object
     attempts: int = 0
     not_before: float = 0.0
-    last_error: BaseException | None = None
 
 
 class _Worker:
@@ -350,8 +333,7 @@ class SupervisedPool:
         self.stats = stats if stats is not None else PoolStats()
 
     def run(self, items, worker, record, *, initializer=None,
-            initargs: tuple = (), on_quarantine=None,
-            shrink=None, explode=None) -> PoolStats:
+            initargs: tuple = (), on_quarantine=None) -> PoolStats:
         """Stream ``worker(item)`` results to ``record``.
 
         Results arrive in completion order.  Quarantined items go to
@@ -360,19 +342,6 @@ class SupervisedPool:
         :class:`Quarantined`.  Any exception in the parent (including
         ``KeyboardInterrupt`` raised from ``record``) kills the
         workers before re-raising, so no orphan outlives the caller.
-
-        Composite items (lockstep batches) stream: a ``worker(item)``
-        that returns a generator sends each yielded value back as a
-        ``part`` message, recorded here the moment it arrives, and
-        ``shrink(item, part)`` narrows the in-flight item to its
-        unfinished remainder after every part.  Each part also renews
-        the hang deadline — progress is proof of liveness, so the
-        timeout governs the gap *between* parts, not the whole batch.
-        When a composite item fails mid-stream, ``explode(item)``
-        splits the (already shrunk) remainder into sub-items that
-        retry independently with fresh attempt counts: completed
-        members are never re-run, and a single poisonous member ends
-        up quarantined alone instead of dragging its batch down.
         """
         queue = deque(
             _Task(id=i, item=item) for i, item in enumerate(items)
@@ -381,10 +350,8 @@ class SupervisedPool:
         if not total:
             return self.stats
         budget = self.policy.budget_for(total)
-        #: tasks not yet completed or quarantined.  Distinct from
-        #: ``total`` because split-on-retry mints new tasks mid-run.
+        #: tasks not yet completed or quarantined.
         outstanding = total
-        next_id = total
         done: set[int] = set()
         workers: list[_Worker | None] = [None] * min(self.jobs, total)
         worker_args = (worker, initializer, initargs)
@@ -407,52 +374,16 @@ class SupervisedPool:
             nonlocal consecutive_failures, next_spawn
             consecutive_failures += 1
             next_spawn = time.monotonic() + min(
-                self.policy.backoff_cap,
-                self.policy.backoff_base
-                * (2 ** (consecutive_failures - 1)),
+                BACKOFF_CAP,
+                BACKOFF_BASE * (2 ** (consecutive_failures - 1)),
             )
 
         def fail_task(task: _Task, error: PoolError) -> None:
-            """One attempt failed: requeue with backoff, split a
-            composite item, or quarantine."""
-            nonlocal budget, outstanding, next_id
+            """One attempt failed: requeue with backoff, or
+            quarantine."""
+            nonlocal budget, outstanding
             note_failure()
             inflight.pop(task.id, None)
-            task.last_error = error
-            pieces = (
-                list(explode(task.item)) if explode is not None
-                else None
-            )
-            if pieces is not None and len(pieces) > 1:
-                # Split-on-retry: the culprit inside a composite item
-                # is unknown (any unfinished member may have wedged
-                # the worker), so each remaining member retries alone
-                # with a *fresh* attempt count — the batch failure is
-                # not evidence against any one member.  The split
-                # itself debits the budget once, so a hostile
-                # environment still exhausts it and degrades instead
-                # of splitting forever.
-                if budget <= 0:
-                    raise PoolError(
-                        f"retry budget exhausted after "
-                        f"{self.stats.retries} retries (last failure: "
-                        f"{error}) — the environment, not a task, "
-                        f"looks broken",
-                        pending=pending_items() + [task.item],
-                    )
-                budget -= 1
-                self.stats.retries += 1
-                outstanding += len(pieces) - 1
-                now = time.monotonic()
-                for piece in pieces:
-                    sub = _Task(id=next_id, item=piece,
-                                last_error=error)
-                    next_id += 1
-                    sub.not_before = now + self.policy.backoff_delay(
-                        task.attempts, key=sub.id
-                    )
-                    queue.append(sub)
-                return
             if task.attempts > self.policy.max_retries:
                 self.stats.quarantined += 1
                 outstanding -= 1
@@ -504,34 +435,6 @@ class SupervisedPool:
                 outstanding -= 1
                 consecutive_failures = 0
                 record(result)
-            elif kind == "part":
-                # One member of a streaming composite item finished.
-                task_id, value = message[1], message[2]
-                task = handle.task
-                if task is None or task.id != task_id or task_id in done:
-                    return  # stale stream after a reap race
-                consecutive_failures = 0
-                record(value)
-                if shrink is not None:
-                    task.item = shrink(task.item, value)
-                if self.policy.task_timeout is not None:
-                    handle.deadline = (
-                        time.monotonic() + self.policy.task_timeout
-                    )
-            elif kind == "done":
-                # End of a streamed item: every part was recorded.
-                task_id = message[1]
-                task = handle.task
-                handle.task = None
-                handle.deadline = None
-                if task_id in done:
-                    return  # late duplicate after a reap race
-                done.add(task_id)
-                inflight.pop(task_id, None)
-                if task is not None and task.id != task_id:
-                    inflight.pop(task.id, None)
-                outstanding -= 1
-                consecutive_failures = 0
             elif kind == "err":
                 # The worker survived — the task's own code raised.
                 # Still an infra-shaped failure from the caller's
@@ -677,7 +580,7 @@ class SupervisedPool:
 
     def _wait_timeout(self, workers, queue, now: float,
                       next_spawn: float) -> float:
-        timeout = self.policy.poll_interval
+        timeout = POLL_INTERVAL
         for handle in workers:
             if handle is not None and handle.deadline is not None:
                 timeout = min(timeout, max(0.0, handle.deadline - now))

@@ -244,14 +244,6 @@ class CampaignConfig:
     wallclock_limit: float | None = 60.0
     #: worker processes (1 = in-process serial).
     jobs: int = 1
-    #: lockstep batch size for parallel runs: up to this many fault
-    #: indices ride one worker dispatch, sharing the worker's golden
-    #: profile (landmark states included) and instruction decode
-    #: memo.  Results stream back one fault at a time, so retry,
-    #: quarantine and journal granularity stay per fault (a batch
-    #: that fails mid-way requeues only its unfinished members).
-    #: Scheduling only — never part of the journal identity.
-    batch_size: int = 8
     #: instruction budget for the golden run (None = system default).
     max_instructions: int | None = None
     #: periodic checkpoint interval (committed instructions) for the
@@ -316,10 +308,6 @@ class CampaignConfig:
             raise ValueError(f"faults must be >= 1, got {self.faults}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
         if self.hang_multiplier <= 1:
             raise ValueError("hang_multiplier must be > 1")
         if self.hang_slack < 0:
@@ -356,8 +344,7 @@ class CampaignConfig:
 
     def journal_identity(self) -> dict:
         """The fields a resumable journal is keyed on: everything that
-        influences per-index results.  ``jobs`` and ``batch_size``
-        (scheduling only),
+        influences per-index results.  ``jobs`` (scheduling only),
         ``wallclock_limit`` (an environment backstop), ``cache_dir``
         and ``warm_start`` (pure accelerants) and the pool-robustness
         knobs
@@ -978,9 +965,7 @@ class Campaign:
         """Execute every faulted run and build the coverage report.
 
         ``progress`` is an optional callable ``(done, total)`` invoked
-        after each completed run — parallel lockstep batches stream
-        their members back individually, so granularity is one fault
-        either way.
+        after each completed run, serial or parallel.
 
         ``indices`` restricts this call to a subset of the campaign's
         fault indices (each must be in ``range(config.faults)``); the
@@ -1146,21 +1131,13 @@ class Campaign:
 
         Each worker rebuilds the campaign once from this campaign's
         golden profile, so the golden run is never repeated there, and
-        runs *lockstep batches* of up to ``config.batch_size``
-        indices per dispatch: the members of a batch share the
-        worker's golden profile (landmark states included) and
-        instruction decode memo, and their results stream back one
-        ``part`` at a time.  Per-index seeding makes each result
-        independent of the scheduling, so batching never changes the
-        science — only how much per-dispatch setup is amortised.
+        then runs one fault index per task.  Per-index seeding makes
+        each result independent of the scheduling.
 
         Pool mechanics (worker signal setup, deadlines, retries,
         terminate-on-interrupt) live in
-        :func:`repro.engine.pool.fan_out`.  Retry granularity stays
-        one fault: a batch that fails mid-way is shrunk to its
-        unfinished members (everything already streamed back is
-        recorded and journaled) and split into per-index retries; an
-        index that keeps killing its worker is quarantined here as an
+        :func:`repro.engine.pool.fan_out`.  An index that keeps
+        killing its worker is quarantined here as an
         :attr:`Outcome.INFRA_FAILED` result carrying the planned
         fault spec, so nothing ever silently disappears from the
         report.
@@ -1168,9 +1145,6 @@ class Campaign:
         from repro.engine.pool import fan_out
 
         worker_config = replace(self.config, jobs=1)
-        size = self.config.batch_size
-        batches = [list(indices[i:i + size])
-                   for i in range(0, len(indices), size)]
         timeout = self.config.task_timeout
         if timeout is None and self.config.wallclock_limit is not None:
             # The pool deadline must comfortably outlast the
@@ -1183,29 +1157,24 @@ class Campaign:
             fallback=self.config.serial_fallback,
         )
 
-        def quarantine(batch, error):
-            # ``batch`` is whatever was still unfinished when retries
-            # ran out — usually a single exploded index, but every
-            # member is surfaced either way.
-            for index in batch:
-                _model, spec = self.plan(index)
-                record(FaultResult(
-                    index=index,
-                    spec=spec,
-                    outcome=Outcome.INFRA_FAILED,
-                    termination="infra-failure",
-                    trap=None,
-                    detail=str(error),
-                    instructions=0,
-                    cycles=0,
-                ))
+        def quarantine(index, error):
+            _model, spec = self.plan(index)
+            record(FaultResult(
+                index=index,
+                spec=spec,
+                outcome=Outcome.INFRA_FAILED,
+                termination="infra-failure",
+                trap=None,
+                detail=str(error),
+                instructions=0,
+                cycles=0,
+            ))
 
         self.pool_stats = fan_out(
-            batches, _worker_run_batch, record, jobs=self.config.jobs,
+            indices, _worker_run, record, jobs=self.config.jobs,
             initializer=_init_worker,
             initargs=(worker_config, self.profile),
             policy=policy, on_quarantine=quarantine, warn=self._warn,
-            shrink=_shrink_batch, explode=_explode_batch,
         )
 
 
@@ -1227,27 +1196,6 @@ def _init_worker(config: CampaignConfig, profile: GoldenProfile) -> None:
 
 def _worker_run(index: int) -> FaultResult:
     return _WORKER_CAMPAIGN.run_one(index)
-
-
-def _worker_run_batch(indices):
-    """One lockstep batch: the members share this worker's campaign —
-    hence its golden profile, landmark states included, and its
-    instruction decode memo — and stream their results back one
-    ``part`` at a time, so the parent journals each fault the moment
-    it completes."""
-    for index in indices:
-        yield _worker_run(index)
-
-
-def _shrink_batch(batch: list, result: FaultResult) -> list:
-    """Drop the member a just-streamed result belongs to, leaving the
-    unfinished remainder the pool would requeue."""
-    return [index for index in batch if index != result.index]
-
-
-def _explode_batch(batch: list) -> list[list]:
-    """Split a failed batch's remainder into per-index retries."""
-    return [[index] for index in batch]
 
 
 def run_campaign(config: CampaignConfig, progress=None,

@@ -53,7 +53,7 @@ SPEC_FIELDS = {
         "extension", "workload", "source", "entry", "scale", "faults",
         "seed", "models", "clock_ratio", "fifo_depth", "jobs",
         "checkpoint_every", "recover", "mdl", "task_timeout",
-        "max_retries", "serial_fallback", "warm_start", "batch_size",
+        "max_retries", "serial_fallback", "warm_start",
     },
     "sweep": {"points", "engine"},
     "explore": {

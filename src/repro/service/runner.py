@@ -52,10 +52,12 @@ class CancelToken:
 #: config keys an inject spec may set, mapped straight onto
 #: :class:`~repro.faultinject.campaign.CampaignConfig` — the service
 #: accepts the same knobs as the CLI, minus paths (``cache_dir``)
-#: that must stay under the server's control.
+#: that must stay under the server's control.  Any other key is
+#: dropped, so jobs journaled with a since-retired field still
+#: replay and run.
 _INJECT_PASSTHROUGH = (
     "extension", "workload", "source", "entry", "scale", "faults",
-    "seed", "clock_ratio", "fifo_depth", "warm_start", "batch_size",
+    "seed", "clock_ratio", "fifo_depth", "warm_start",
     "checkpoint_every", "recover", "task_timeout", "max_retries",
     "serial_fallback",
 )

@@ -13,11 +13,9 @@ Worker entry points (:func:`repro.faultinject.campaign._worker_run`,
 :func:`repro.engine.sweep._run_indexed`) are looked up as module
 globals at dispatch time, so patching the module routes every task,
 including tasks dispatched to *respawned* workers, through
-:meth:`ChaosPlan.apply` first.  Campaign lockstep batches delegate to
-``_worker_run`` per member, so sabotage keyed by fault index lands
-mid-batch — after the earlier members already streamed their results
-back — which is exactly the partial-batch failure shape the
-shrink/explode machinery must absorb.
+:meth:`ChaosPlan.apply` first.  A campaign dispatches one fault index
+per task, so sabotage keyed by fault index lands on exactly that
+fault's task.
 
 Once-only faults (``kill``/``hang``) synchronise across process
 deaths through marker files: the doomed attempt drops a marker
@@ -68,8 +66,8 @@ class ChaosPlan:
         self.parent_pid = os.getpid()
         #: optional path collecting one line per *attempted* item
         #: execution (O_APPEND keeps concurrent workers' short lines
-        #: whole) — how tests prove completed batch members are never
-        #: re-run after a mid-batch infra failure.
+        #: whole) — how tests prove an infra failure re-runs only the
+        #: item its worker was holding.
         self.run_log = Path(run_log) if run_log is not None else None
 
     def _first_time(self, kind: str, key) -> bool:
@@ -130,33 +128,6 @@ def failing_square(item: int) -> int:
     if item % 2:
         raise ValueError(f"item {item} is cursed")
     return item * item
-
-
-def stream_squares(batch):
-    """Toy streaming (lockstep-batch) worker: yields ``(item, item²)``
-    one member at a time, sabotaging per member — so a planned kill or
-    hang lands mid-batch, after earlier members already streamed."""
-    for item in batch:
-        _PLAN.apply(item)
-        yield (item, item * item)
-
-
-def cursed_stream(batch):
-    """Toy streaming worker whose item 8 *raises* (the worker itself
-    survives) after the members before it streamed normally."""
-    for item in batch:
-        if item == 8:
-            raise ValueError(f"item {item} is cursed")
-        yield (item, item * item)
-
-
-def slow_stream(batch):
-    """Toy streaming worker that is slow per member but always making
-    progress — the shape that must NOT be reaped as hung, because each
-    streamed part renews the deadline."""
-    for item in batch:
-        time.sleep(0.4)
-        yield (item, item * item)
 
 
 def chaos_campaign_worker(index: int):

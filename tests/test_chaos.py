@@ -150,19 +150,16 @@ class TestCampaignChaos:
 
     def test_hung_worker_mid_batch_requeues_only_unfinished(
             self, tmp_path, monkeypatch):
-        """Lockstep batching's retry contract: when a worker wedges on
-        member 3 of the batch [0..5], the members already streamed
-        back (0-2) are recorded and *never executed again*, the hung
-        member retries exactly once more, and the members behind it
-        (4, 5) still run exactly once via the exploded singles."""
+        """One fault per task: when a worker wedges on fault 3, the
+        reaped task re-runs fault 3 alone — the doomed attempt plus
+        one retry — and every other fault runs exactly once."""
         from collections import Counter
         reference = Campaign(sec_config()).run()
         run_log = tmp_path / "runs.log"
         chaos.install(monkeypatch, chaos.ChaosPlan(
             tmp_path / "markers", hang=(3,), hang_seconds=60.0,
             run_log=run_log))
-        campaign = Campaign(parallel_config(
-            task_timeout=2.0, jobs=2, batch_size=6))
+        campaign = Campaign(parallel_config(task_timeout=2.0, jobs=2))
         report = campaign.run()
         assert report.to_json() == reference.to_json()
         assert campaign.pool_stats.timeouts == 1
@@ -170,30 +167,31 @@ class TestCampaignChaos:
         counts = Counter(
             int(line) for line in run_log.read_text().split()
         )
-        assert counts[3] == 2, "hung member: doomed attempt + retry"
+        assert counts[3] == 2, "hung fault: doomed attempt + retry"
         del counts[3]
         assert counts == {i: 1 for i in range(12) if i != 3}, (
-            "every other member must run exactly once — completed "
-            "members re-ran or unfinished members were dropped"
+            "every other fault must run exactly once — a fault re-ran "
+            "or was dropped"
         )
 
     def test_indices_subset_batches_only_the_subset(
             self, tmp_path, monkeypatch):
-        """``run(indices=)`` composes with lockstep batching: only the
-        requested subset is executed (in batches), even under a
-        mid-batch kill."""
+        """``run(indices=)`` dispatches only the requested subset,
+        one fault per task, even under a worker kill: the killed
+        fault is the only one attempted twice."""
+        from collections import Counter
         run_log = tmp_path / "runs.log"
         chaos.install(monkeypatch, chaos.ChaosPlan(
             tmp_path / "markers", kill=(4,), run_log=run_log))
-        campaign = Campaign(parallel_config(jobs=2, batch_size=3))
+        campaign = Campaign(parallel_config(jobs=2))
         subset = [1, 3, 4, 8, 9]
         report = campaign.run(indices=subset)
         assert sorted(r.index for r in report.results) == subset
         assert campaign.pool_stats.crashes == 1
-        ran = [int(line) for line in run_log.read_text().split()]
-        assert sorted(set(ran)) == subset
-        # the killed member is the only one attempted twice
-        assert sorted(ran) == sorted(subset + [4])
+        counts = Counter(
+            int(line) for line in run_log.read_text().split()
+        )
+        assert counts == {i: 2 if i == 4 else 1 for i in subset}
         serial = Campaign(sec_config()).run(indices=subset)
         assert report.to_json() == serial.to_json()
 

@@ -235,9 +235,8 @@ class TestCampaignRuns:
         assert first.to_json() != second.to_json()
 
     def test_parallel_matches_serial(self):
-        # Three batches of two: one batch would run in-process.
         serial = umc_campaign(faults=6).run()
-        parallel = umc_campaign(faults=6, jobs=2, batch_size=2).run()
+        parallel = umc_campaign(faults=6, jobs=2).run()
         assert serial.to_json() == parallel.to_json()
 
     @pytest.mark.parametrize("fallback", ["auto", "force"])
@@ -245,9 +244,7 @@ class TestCampaignRuns:
                                                monkeypatch):
         # Pool workers, and the in-process serial fallback, build their
         # campaign from the parent's golden profile.  Each golden run
-        # appends its pid to a file, so forked workers' runs count too;
-        # three batches of two keep the pool from running one batch
-        # in-process.
+        # appends its pid to a file, so forked workers' runs count too.
         log = tmp_path / "golden-runs"
         golden_run = Campaign._golden_run
 
@@ -259,7 +256,7 @@ class TestCampaignRuns:
         monkeypatch.setattr(Campaign, "_golden_run", logged)
         serial = umc_campaign(faults=6).run()
         log.unlink()
-        parallel = umc_campaign(faults=6, jobs=2, batch_size=2,
+        parallel = umc_campaign(faults=6, jobs=2,
                                 serial_fallback=fallback).run()
         assert log.read_text().split() == [str(os.getpid())]
         assert serial.to_json() == parallel.to_json()
@@ -420,10 +417,10 @@ class TestMdlMonitors:
         assert len(report.results) == 3
 
     def test_campaign_runs_parallel_and_matches_serial(self):
-        # One fault per batch, so the pool starts and each worker
-        # builds the monitor from the config alone.
+        # Three faults start a pool, and each worker builds the
+        # monitor from the config alone.
         serial = Campaign(self._config()).run()
-        parallel = Campaign(self._config(jobs=2, batch_size=1)).run()
+        parallel = Campaign(self._config(jobs=2)).run()
         assert ([r.as_dict() for r in serial.results]
                 == [r.as_dict() for r in parallel.results])
 

@@ -508,11 +508,10 @@ class TestWarmStartEquivalence:
         assert crashed  # the scenario still exercises the crash path
 
     def test_accelerants_do_not_change_journal_identity(self):
-        # warm_start and batch_size are pure accelerants: flipping
-        # them must never invalidate an existing journal or cache.
+        # warm_start is a pure accelerant: flipping it must never
+        # invalidate an existing journal or cache.
         base = sec_config().journal_identity()
         assert sec_config(warm_start=False).journal_identity() == base
-        assert sec_config(batch_size=1).journal_identity() == base
 
     def test_golden_entry_carries_landmark_states(self, tmp_path,
                                                   monkeypatch):

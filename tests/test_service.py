@@ -61,6 +61,15 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="sede"):
             normalize_spec("inject", {"extension": "sec", "sede": 1})
 
+    def test_retired_inject_field_is_rejected(self):
+        # ``batch_size`` left the inject spec when campaigns moved to
+        # one fault per pool task; a client still sending it is told
+        # what it may send instead.
+        with pytest.raises(ProtocolError,
+                           match=r"batch_size \(allowed: .*warm_start"):
+            normalize_spec("inject", {"extension": "sec",
+                                      "batch_size": 8})
+
     def test_missing_required_field_is_rejected(self):
         with pytest.raises(ProtocolError, match="extension"):
             normalize_spec("inject", {"faults": 10})
@@ -257,6 +266,31 @@ class TestJobStore:
         recovered = replayed.load()
         assert [j.id for j in recovered] == ["j1"]
         assert "result document missing" in replayed.jobs["j1"].detail
+
+    def test_job_journaled_with_a_retired_field_still_runs(
+            self, tmp_path):
+        # An inject job accepted while ``batch_size`` was a spec field
+        # replays from the store journal and runs to the document a
+        # spec without it produces.
+        from repro.faultinject import Campaign, CampaignConfig
+        from repro.service.runner import CancelToken, execute_job
+        from tests.test_resume import SOURCE
+
+        spec = {"extension": "sec", "source": SOURCE, "faults": 3,
+                "seed": 7}
+        store = JobStore(tmp_path)
+        store.load()
+        store.accept("j-old", "default", "inject",
+                     dict(spec, batch_size=8))
+        store.close()
+
+        replayed = JobStore(tmp_path)
+        [job] = replayed.load()
+        assert job.spec["batch_size"] == 8
+        out = execute_job(job, replayed, CancelToken())
+        replayed.close()
+        direct = Campaign(CampaignConfig(**spec)).run()
+        assert out["document"] == direct.to_json() + "\n"
 
     def test_replay_preserves_admission_order(self, tmp_path):
         store = JobStore(tmp_path)

@@ -93,6 +93,21 @@ class TestTaskFailures:
             assert isinstance(err, Quarantined)
             assert "cursed" in str(err)
 
+    def test_serial_failure_quarantines_at_once(self):
+        # In-process the failure is deterministic: no retries.
+        results: list[int] = []
+        quarantined: list = []
+        stats = fan_out(
+            list(range(4)), chaos.failing_square, collect(results),
+            jobs=1,
+            on_quarantine=lambda item, err: quarantined.append(item),
+            warn=quiet,
+        )
+        assert results == [0, 4]
+        assert quarantined == [1, 3]
+        assert stats.quarantined == 2
+        assert stats.retries == 0
+
     def test_quarantine_without_handler_raises(self):
         with pytest.raises(Quarantined, match="cursed"):
             fan_out(list(range(4)), chaos.failing_square,
@@ -168,112 +183,6 @@ class TestInfraFaults:
         with pytest.raises(PoolError):
             fan_out(ITEMS, chaos.chaos_square, lambda r: None,
                     jobs=2, policy=policy, warn=quiet)
-
-
-BATCHES = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
-
-
-def shrink_pairs(batch: list, part: tuple) -> list:
-    return [item for item in batch if item != part[0]]
-
-
-def explode_singles(batch: list) -> list:
-    return [[item] for item in batch]
-
-
-class TestStreamingBatches:
-    """Composite items whose workers stream per-member ``part``
-    results: retry granularity must stay one member."""
-
-    @fork_only
-    def test_streamed_batches_complete_every_member(
-            self, tmp_path, monkeypatch):
-        chaos.use_plan(monkeypatch, chaos.ChaosPlan(tmp_path))
-        results: list = []
-        stats = fan_out(BATCHES, chaos.stream_squares,
-                        collect(results), jobs=2, shrink=shrink_pairs,
-                        explode=explode_singles, warn=quiet)
-        assert sorted(results) == [(i, i * i) for i in ITEMS]
-        assert not stats.interesting()
-
-    @fork_only
-    def test_killed_mid_batch_reruns_unfinished_members_only(
-            self, tmp_path, monkeypatch):
-        from collections import Counter
-        run_log = tmp_path / "runs.log"
-        chaos.use_plan(monkeypatch, chaos.ChaosPlan(
-            tmp_path, kill=(5,), run_log=run_log))
-        results: list = []
-        stats = fan_out(BATCHES, chaos.stream_squares,
-                        collect(results), jobs=2, shrink=shrink_pairs,
-                        explode=explode_singles, warn=quiet)
-        assert sorted(results) == [(i, i * i) for i in ITEMS]
-        assert len(results) == 12  # streamed parts never duplicated
-        assert stats.crashes == 1
-        counts = Counter(
-            int(line) for line in run_log.read_text().split()
-        )
-        assert counts[5] == 2  # the doomed attempt plus its retry
-        assert all(counts[i] == 1 for i in ITEMS if i != 5)
-
-    @fork_only
-    def test_poisonous_member_is_quarantined_alone(
-            self, tmp_path, monkeypatch):
-        chaos.use_plan(monkeypatch,
-                       chaos.ChaosPlan(tmp_path, kill_always=(6,)))
-        results: list = []
-        quarantined: list = []
-        stats = fan_out(
-            BATCHES, chaos.stream_squares, collect(results), jobs=2,
-            policy=PoolPolicy(max_retries=1),
-            on_quarantine=lambda item, err: quarantined.append(item),
-            shrink=shrink_pairs, explode=explode_singles, warn=quiet,
-        )
-        assert quarantined == [[6]]
-        assert sorted(results) == [(i, i * i) for i in ITEMS if i != 6]
-        assert stats.quarantined == 1
-
-    def test_raise_mid_stream_retries_only_the_remainder(self):
-        results: list = []
-        quarantined: list = []
-        stats = fan_out(
-            BATCHES, chaos.cursed_stream, collect(results), jobs=2,
-            on_quarantine=lambda item, err: quarantined.append(item),
-            shrink=shrink_pairs, explode=explode_singles, warn=quiet,
-        )
-        assert quarantined == [[8]]
-        assert sorted(results) == [(i, i * i) for i in ITEMS if i != 8]
-        assert stats.quarantined == 1
-
-    def test_streamed_progress_renews_the_hang_deadline(self):
-        # 6 members x 0.4s each is far beyond the 1s deadline, but a
-        # part arrives every 0.4s — progress is proof of liveness.
-        results: list = []
-        stats = fan_out(
-            [list(range(6)), list(range(6, 12))], chaos.slow_stream,
-            collect(results), jobs=2,
-            policy=PoolPolicy(task_timeout=1.0),
-            shrink=shrink_pairs, warn=quiet,
-        )
-        assert sorted(results) == [(i, i * i) for i in ITEMS]
-        assert stats.timeouts == 0
-        assert not stats.interesting()
-
-    def test_serial_stream_quarantines_the_shrunk_remainder(self):
-        results: list = []
-        quarantined: list = []
-        stats = fan_out(
-            [[6, 7, 8, 9, 10, 11]], chaos.cursed_stream,
-            collect(results), jobs=1,
-            on_quarantine=lambda item, err: quarantined.append(item),
-            shrink=shrink_pairs, warn=quiet,
-        )
-        assert sorted(results) == [(6, 36), (7, 49)]
-        # members 6 and 7 streamed before the raise: only the
-        # remainder is quarantined, and it is reported as a unit
-        # (serial mode has no pool to explode it into retries).
-        assert quarantined == [[8, 9, 10, 11]]
-        assert stats.quarantined == 1
 
 
 class TestDegradedMode:
@@ -386,4 +295,5 @@ class TestDeterministicBackoff:
         policy = supervisor.PoolPolicy()
         assert policy.backoff_delay(2, key="idx3") == \
             supervisor.deterministic_backoff(
-                policy.backoff_base, policy.backoff_cap, 2, key="idx3")
+                supervisor.BACKOFF_BASE, supervisor.BACKOFF_CAP, 2,
+                key="idx3")
